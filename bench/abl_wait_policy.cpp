@@ -51,17 +51,6 @@ stf::TaskFlow make_pingpong(std::size_t n) {
   return flow;
 }
 
-template <typename RunFn>
-double min_wall_ms(int reps, RunFn&& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    support::Stopwatch sw;
-    run();
-    best = std::min(best, static_cast<double>(sw.elapsed_ns()) * 1e-6);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -91,24 +80,23 @@ int main(int argc, char** argv) {
   support::Table pingpong(
       {"policy", "wall_ms", "us_per_handoff", "stalls"});
   for (const support::WaitPolicy policy : policies) {
-    const rt::Config cfg{.num_workers = 2,
-                         .wait_policy = policy,
-                         .collect_stats = false};
+    const engine::Launch cfg{
+        .workers = 2, .wait_policy = policy, .collect_stats = false};
     rt::Runtime eng(cfg);
     eng.attach_pool(&pool);
     const double free_ms =
-        min_wall_ms(reps, [&] { eng.run(free_image, two); });
+        bench::min_wall_ms(reps, [&] { eng.run(free_image, two); });
     no_stall.row()
         .str(support::to_string(policy))
         .num(free_ms, 3)
         .num(free_ms * 1e6 / static_cast<double>(n_free), 1);
 
-    rt::Config scfg = cfg;
+    engine::Launch scfg = cfg;
     scfg.collect_stats = true;  // count the stalls to prove the shape
     rt::Runtime stalling(scfg);
     stalling.attach_pool(&pool);
     std::uint64_t stalls = 0;
-    const double ping_ms = min_wall_ms(reps, [&] {
+    const double ping_ms = bench::min_wall_ms(reps, [&] {
       const auto stats = stalling.run(ping_image, two);
       stalls = 0;
       for (const auto& wst : stats.workers) stalls += wst.waits;

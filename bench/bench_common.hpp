@@ -9,6 +9,7 @@
 // running the full-size experiment wastes minutes before anyone notices.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "engine/registry.hpp"
+#include "support/clock.hpp"
 #include "support/format.hpp"
 #include "stf/flow_image.hpp"
 
@@ -44,6 +46,19 @@ inline engine::Outcome run_backend(const std::string& name,
   if (backend->caps().needs_mapping && !launch.mapping.valid())
     launch.mapping = rt::mapping::round_robin(launch.workers);
   return backend->run(image, launch);
+}
+
+/// Best-of-`reps` wall time of `run()` in milliseconds — the one timing
+/// loop every micro bench shares (min-of-reps: the least-disturbed run).
+template <typename RunFn>
+double min_wall_ms(int reps, RunFn&& run) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    support::Stopwatch sw;
+    run();
+    best = std::min(best, static_cast<double>(sw.elapsed_ns()) * 1e-6);
+  }
+  return best;
 }
 
 struct Options {

@@ -58,7 +58,8 @@ void simulated(const bench::Options& opt) {
   const auto coor_rep = sim::simulate_centralized(flow, cp);
   const auto rio_rep =
       sim::simulate_decentralized(flow, hpl.full_mapping(), dp);
-  const auto phases = hybrid::partition(flow, hpl.partial_mapping(), 24);
+  const auto phases =
+      hybrid::partition(flow.num_tasks(), hpl.partial_mapping(), 24);
   const auto hyb_rep = sim::simulate_hybrid(flow, phases, dp, cp);
 
   stf::DependencyGraph graph(flow);
@@ -112,16 +113,16 @@ void real_threads(const bench::Options& opt) {
     stf::SequentialExecutor{}.run(h.workload.flow);
   });
   run("centralized OoO     ", [&](workloads::HplWorkload& h) {
-    coor::Runtime rt(coor::Config{.num_workers = workers});
-    rt.run(h.workload.flow);
+    coor::Runtime rt(engine::Launch{.workers = workers});
+    rt.run(stf::FlowImage::compile(h.workload.flow));
   });
   run("decentralized (RIO) ", [&](workloads::HplWorkload& h) {
-    rt::Runtime rt(rt::Config{.num_workers = workers});
-    rt.run(h.workload.flow, h.full_mapping());
+    rt::Runtime rt(engine::Launch{.workers = workers});
+    rt.run(stf::FlowImage::compile(h.workload.flow), h.full_mapping());
   });
   run("hybrid              ", [&](workloads::HplWorkload& h) {
-    hybrid::Runtime rt(hybrid::Config{.num_workers = workers});
-    rt.run(h.workload.flow, h.partial_mapping());
+    hybrid::Runtime rt(engine::Launch{.workers = workers});
+    rt.run(stf::FlowImage::compile(h.workload.flow), h.partial_mapping());
   });
   std::cout << std::endl;
 }

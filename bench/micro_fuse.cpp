@@ -60,17 +60,6 @@ stf::TaskFlow make_fine_gemm(std::uint32_t tiles, std::uint64_t iters) {
   return workloads::make_gemm_dag(s).flow;
 }
 
-double min_wall_ms(int reps, const engine::Backend& backend,
-                   const stf::FlowImage& image, const engine::Launch& launch) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    support::Stopwatch sw;
-    (void)backend.run(image, launch);
-    best = std::min(best, static_cast<double>(sw.elapsed_ns()) * 1e-6);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -120,8 +109,10 @@ int main(int argc, char** argv) {
       launch.mapping = rt::mapping::round_robin(w);
       launch.collect_stats = false;
 
-      const double unfused_ms = min_wall_ms(reps, rio_eng, image, launch);
-      const double fused_ms = min_wall_ms(reps, rio_eng, fused.image, launch);
+      const double unfused_ms =
+          bench::min_wall_ms(reps, [&] { (void)rio_eng.run(image, launch); });
+      const double fused_ms = bench::min_wall_ms(
+          reps, [&] { (void)rio_eng.run(fused.image, launch); });
       real.row()
           .str(name)
           .integer(w)

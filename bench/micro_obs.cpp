@@ -6,7 +6,7 @@
 // chain workload (same construction as micro_unroll, so wall time is pure
 // protocol + instrumentation cost):
 //
-//   * off        — Config::obs == nullptr: the per-worker lens is unbound
+//   * off        — Launch::obs == nullptr: the per-worker lens is unbound
 //                  and every obs call is a null-check;
 //   * counters   — Hub without a recorder: per-worker cache-line-padded
 //                  increments only; the engine's `timed` flag stays false,
@@ -30,8 +30,8 @@
 #include "obs/obs.hpp"
 #include "rio/mapping.hpp"
 #include "rio/runtime.hpp"
-#include "support/clock.hpp"
 #include "support/thread_pool.hpp"
+#include "stf/flow_image.hpp"
 #include "stf/task_flow.hpp"
 
 using namespace rio;
@@ -55,17 +55,6 @@ stf::TaskFlow make_chains(std::size_t n) {
   return flow;
 }
 
-template <typename RunFn>
-double min_wall_ms(int reps, RunFn&& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    support::Stopwatch sw;
-    run();
-    best = std::min(best, static_cast<double>(sw.elapsed_ns()) * 1e-6);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,6 +72,7 @@ int main(int argc, char** argv) {
   json.note("tasks", std::to_string(n));
 
   const stf::TaskFlow flow = make_chains(n);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
   support::ThreadPool pool(
       *std::max_element(workers.begin(), workers.end()));
 
@@ -92,14 +82,14 @@ int main(int argc, char** argv) {
     const rt::Mapping mapping = rt::mapping::round_robin(w);
 
     const auto run_mode = [&](obs::Hub* hub) {
-      rt::Runtime eng(rt::Config{.num_workers = w,
-                                 .wait_policy = support::WaitPolicy::kSpin,
-                                 .collect_stats = false,
-                                 .obs = hub});
+      rt::Runtime eng(engine::Launch{.workers = w,
+                                     .wait_policy = support::WaitPolicy::kSpin,
+                                     .collect_stats = false,
+                                     .obs = hub});
       eng.attach_pool(&pool);
-      return min_wall_ms(reps, [&] {
+      return bench::min_wall_ms(reps, [&] {
         if (hub != nullptr) hub->reset();
-        eng.run(stf::FlowRange(flow), mapping);
+        eng.run(image, mapping);
       });
     };
 

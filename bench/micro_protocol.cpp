@@ -6,16 +6,13 @@
 //   * section "protocol" — the micro_unroll shape (1 write/task, 64
 //     chains), swept across workers x policy x engine, so spin rows are
 //     directly comparable with BENCH_unroll.json;
-//   * section "fan" — 8 writes/task (8 chain groups x 8 chains), where
-//     per-word notify cost dominates the block policy: the shape that
-//     shows the doorbell-batching win.
+//   * section "fan" — 8 writes/task (8 chain groups x 8 chains), where a
+//     per-word notify would dominate the block policy: the shape that
+//     shows the doorbell batching (one ring per peer per task).
 //
 // Engines:
 //   * rio / rio-pruned — Algorithm 2 publications; under kBlock the
 //     per-worker doorbells batch wakeups (src/rio/doorbell.hpp);
-//   * rio-wordnotify / rio-pruned-wordnotify (block rows only) — the same
-//     runtimes with Config::doorbells off: the legacy per-word notify_all
-//     path, i.e. the measured pre-change baseline;
 //   * coor-locked — centralized runtime, mutex+condvar ReadyQueue;
 //   * coor-ring — centralized runtime, wait-free MPMC ready ring
 //     (coor/ready_ring.hpp).
@@ -37,7 +34,6 @@
 #include "rio/mapping.hpp"
 #include "rio/pruning.hpp"
 #include "rio/runtime.hpp"
-#include "support/clock.hpp"
 #include "support/thread_pool.hpp"
 #include "stf/flow_image.hpp"
 #include "stf/task_flow.hpp"
@@ -85,17 +81,6 @@ stf::TaskFlow make_fans(std::size_t n) {
   return flow;
 }
 
-template <typename RunFn>
-double min_wall_ms(int reps, RunFn&& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    support::Stopwatch sw;
-    run();
-    best = std::min(best, static_cast<double>(sw.elapsed_ns()) * 1e-6);
-  }
-  return best;
-}
-
 struct Sweep {
   bench::JsonReporter* json = nullptr;
   const bench::Options* opt = nullptr;
@@ -124,7 +109,7 @@ void run_section(const Sweep& s, const char* section,
       // after the first measure steady state: cached pruned plan, recycled
       // sync-word arenas.
       const auto measure = [&](const char* engine, auto&& make_run) {
-        const double ms = min_wall_ms(s.reps, make_run(nullptr));
+        const double ms = bench::min_wall_ms(s.reps, make_run(nullptr));
         obs::Hub hub;
         make_run(&hub)();
         const obs::CounterSnapshot snap = hub.counter_snapshot();
@@ -142,48 +127,29 @@ void run_section(const Sweep& s, const char* section,
             .num(per_task(obs::Counter::kWakeupsElided), 3);
       };
 
-      const auto rio_cfg = [&](obs::Hub* hub, bool doorbells) {
-        rt::Config cfg;
-        cfg.num_workers = w;
+      const auto launch = [&](obs::Hub* hub) {
+        engine::Launch cfg;
+        cfg.workers = w;
         cfg.wait_policy = policy;
         cfg.collect_stats = false;
-        cfg.doorbells = doorbells;
         cfg.obs = hub;
         return cfg;
       };
-      const auto rio_run = [&](bool doorbells) {
-        return [&, doorbells](obs::Hub* hub) {
-          auto eng = std::make_shared<rt::Runtime>(rio_cfg(hub, doorbells));
-          eng->attach_pool(s.pool);
-          return [&, eng] { eng->run(image, mapping); };
-        };
-      };
-      const auto pruned_run = [&](bool doorbells) {
-        return [&, doorbells](obs::Hub* hub) {
-          auto eng =
-              std::make_shared<rt::PrunedRuntime>(rio_cfg(hub, doorbells));
-          eng->attach_pool(s.pool);
-          return [&, eng] { eng->run(image, mapping); };
-        };
-      };
-
-      measure("rio", rio_run(true));
-      measure("rio-pruned", pruned_run(true));
-      if (policy == support::WaitPolicy::kBlock) {
-        // Legacy per-word notify path = the pre-change block baseline,
-        // measured in the same binary for an honest A/B.
-        measure("rio-wordnotify", rio_run(false));
-        measure("rio-pruned-wordnotify", pruned_run(false));
-      }
+      measure("rio", [&](obs::Hub* hub) {
+        auto eng = std::make_shared<rt::Runtime>(launch(hub));
+        eng->attach_pool(s.pool);
+        return [&, eng] { eng->run(image, mapping); };
+      });
+      measure("rio-pruned", [&](obs::Hub* hub) {
+        auto eng = std::make_shared<rt::PrunedRuntime>(launch(hub));
+        eng->attach_pool(s.pool);
+        return [&, eng] { eng->run(image, mapping); };
+      });
       if (s.with_coor) {
         const auto coor_run = [&](coor::QueueKind queue) {
           return [&, queue](obs::Hub* hub) {
-            coor::Config cfg;
-            cfg.num_workers = w;
+            engine::Launch cfg = launch(hub);
             cfg.queue = queue;
-            cfg.wait_policy = policy;
-            cfg.collect_stats = false;
-            cfg.obs = hub;
             auto eng = std::make_shared<coor::Runtime>(cfg);
             eng->attach_pool(s.pool);
             return [&, eng] { eng->run(image); };
@@ -218,17 +184,16 @@ int main(int argc, char** argv) {
 
   Sweep sweep{&json, &opt, &pool, n, reps, /*with_coor=*/true};
   run_section(sweep, "protocol", stf::FlowImage::compile(make_chains(n)));
-  sweep.with_coor = false;  // coor pays per-access master cost; rio A/B only
+  sweep.with_coor = false;  // coor pays per-access master cost; rio only
   run_section(sweep, "fan", stf::FlowImage::compile(make_fans(n)));
 
   std::cout
       << "Expected shape: block-policy rio within noise of spin/yield "
          "(doorbell batching elides per-word notifies on stall-free "
-         "workloads: issued_per_task ~ 0), rio-wordnotify paying one "
-         "notify per write (the \"fan\" section multiplies it by "
+         "workloads: issued_per_task ~ 0, also in the \"fan\" section's "
       << kFan
-      << "); coor-ring at or below coor-locked (wait-free push/pop, "
-         "wakeups only when a consumer is parked).\n";
+      << " writes/task); coor-ring at or below coor-locked (wait-free "
+         "push/pop, wakeups only when a consumer is parked).\n";
   bench::finish(json);
   return 0;
 }

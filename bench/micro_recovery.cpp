@@ -68,17 +68,6 @@ stf::TaskFlow make_independent(std::size_t n) {
   return flow;
 }
 
-template <typename RunFn>
-double min_wall_ms(int reps, RunFn&& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    support::Stopwatch sw;
-    run();
-    best = std::min(best, static_cast<double>(sw.elapsed_ns()) * 1e-6);
-  }
-  return best;
-}
-
 /// The registry backends whose caps advertise supports_recovery — the
 /// exact set the supervisor can evict-and-remap over.
 std::vector<const engine::Backend*> recovery_backends() {
@@ -128,7 +117,7 @@ int main(int argc, char** argv) {
     for (const engine::Backend* b : engines) {
       const engine::Launch launch = base_launch(*b, workers);
 
-      const double off_ms = min_wall_ms(
+      const double off_ms = bench::min_wall_ms(
           reps, [&] { (void)b->run(image, launch); });
 
       stf::CompletionBoard board;
@@ -136,7 +125,7 @@ int main(int argc, char** argv) {
                   stf::CompletionBoard::kDefaultSampleEvery);
       engine::Launch with_board = launch;
       with_board.checkpoint = &board;
-      const double board_ms = min_wall_ms(reps, [&] {
+      const double board_ms = bench::min_wall_ms(reps, [&] {
         board.clear();
         (void)b->run(image, with_board);
       });
@@ -182,7 +171,7 @@ int main(int argc, char** argv) {
         plan.max_crashes = 1;
 
         engine::Outcome last;
-        const double wall_ms = min_wall_ms(reps, [&] {
+        const double wall_ms = bench::min_wall_ms(reps, [&] {
           support::FaultInjector injector(plan);
           engine::Launch launch = base_launch(*b, workers);
           launch.fault = &injector;

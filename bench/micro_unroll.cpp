@@ -3,10 +3,8 @@
 // The paper's cost model prices a NON-mapped task at one or two private
 // writes per access; everything else a replay pays on top of that is
 // representation overhead. This bench isolates it by replaying the same
-// flow three ways on the real rio engine:
+// flow two ways on the real rio engine:
 //
-//   * streaming      — Runtime::run(FlowRange): walks the AoS Task array
-//                      (std::function + std::string per record);
 //   * image          — Runtime::run(FlowImage): walks the compiled SoA
 //                      image (stf/flow_image.hpp), 8-byte spans + flat
 //                      access array;
@@ -27,7 +25,6 @@
 #include "rio/mapping.hpp"
 #include "rio/pruning.hpp"
 #include "rio/runtime.hpp"
-#include "support/clock.hpp"
 #include "support/thread_pool.hpp"
 #include "stf/flow_image.hpp"
 #include "stf/task_flow.hpp"
@@ -54,17 +51,6 @@ stf::TaskFlow make_chains(std::size_t n) {
   return flow;
 }
 
-template <typename RunFn>
-double min_wall_ms(int reps, RunFn&& run) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    support::Stopwatch sw;
-    run();
-    best = std::min(best, static_cast<double>(sw.elapsed_ns()) * 1e-6);
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -81,7 +67,7 @@ int main(int argc, char** argv) {
   bench::header("micro_unroll",
                 std::to_string(n) +
                     " empty single-write tasks, stall-free chains; replay "
-                    "overhead per task: streaming vs image vs pruned image");
+                    "overhead per task: image vs pruned image");
 
   const stf::TaskFlow flow = make_chains(n);
 
@@ -101,22 +87,19 @@ int main(int argc, char** argv) {
   for (const std::uint32_t w : workers) {
     const rt::Mapping mapping = rt::mapping::round_robin(w);
     for (const support::WaitPolicy policy : policies) {
-      const rt::Config cfg{.num_workers = w,
-                           .wait_policy = policy,
-                           .collect_stats = false};
+      const engine::Launch cfg{
+          .workers = w, .wait_policy = policy, .collect_stats = false};
       rt::Runtime eng(cfg);
       eng.attach_pool(&pool);
       rt::PrunedRuntime pruned(cfg);
       pruned.attach_pool(&pool);
 
-      const double streaming_ms = min_wall_ms(
-          reps, [&] { eng.run(stf::FlowRange(flow), mapping); });
       const double image_ms =
-          min_wall_ms(reps, [&] { eng.run(image, mapping); });
+          bench::min_wall_ms(reps, [&] { eng.run(image, mapping); });
       // First call compiles the plan into the cache; every rep after (and
       // every future run with this image+mapping) replays it for free.
       const double pruned_ms =
-          min_wall_ms(reps, [&] { pruned.run(image, mapping); });
+          bench::min_wall_ms(reps, [&] { pruned.run(image, mapping); });
       total_plan_compiles += pruned.plan_compiles();
 
       const auto add = [&](const char* engine, double ms) {
@@ -127,7 +110,6 @@ int main(int argc, char** argv) {
             .num(ms, 3)
             .num(ms * 1e6 / static_cast<double>(n), 1);
       };
-      add("streaming", streaming_ms);
       add("image", image_ms);
       add("pruned-image", pruned_ms);
     }
@@ -139,9 +121,8 @@ int main(int argc, char** argv) {
             << n << " tasks; pruned plans compiled " << total_plan_compiles
             << "x (one per worker-count/policy runtime, cached across "
             << reps << " reps each)\n"
-            << "Expected shape: image < streaming per task (dense spans vs "
-               "AoS Task records); pruned-image lowest (each worker visits "
-               "only its own tasks).\n";
+            << "Expected shape: pruned-image below image per task (each "
+               "worker visits only its own tasks).\n";
   bench::finish(json);
   return 0;
 }

@@ -83,17 +83,17 @@ int main() {
   factorize(
       [&](workloads::TiledMatrix& m) {
         auto wl = workloads::make_lu_numeric(m, kWorkers);
-        rt::Runtime runtime(rt::Config{.num_workers = kWorkers});
+        rt::Runtime runtime(engine::Launch{.workers = kWorkers});
         // Owner-computes 2-D block-cyclic mapping from the generator.
-        runtime.run(wl.flow, wl.mapping(kWorkers));
+        runtime.run(stf::FlowImage::compile(wl.flow), wl.mapping(kWorkers));
       },
       "RIO (4 workers)   ", rio_m);
 
   factorize(
       [&](workloads::TiledMatrix& m) {
         auto wl = workloads::make_lu_numeric(m);
-        coor::Runtime runtime(coor::Config{.num_workers = kWorkers});
-        runtime.run(wl.flow);
+        coor::Runtime runtime(engine::Launch{.workers = kWorkers});
+        runtime.run(stf::FlowImage::compile(wl.flow));
       },
       "centralized OoO   ", coor_m);
 

@@ -36,9 +36,10 @@ int main() {
             << " coarse update tasks (dynamic)\n";
 
   hybrid::Runtime runtime(
-      hybrid::Config{.num_workers = kWorkers, .enable_guard = true});
+      engine::Launch{.workers = kWorkers, .enable_guard = true});
   support::Stopwatch sw;
-  const auto stats = runtime.run(hpl.workload.flow, hpl.partial_mapping());
+  const auto stats = runtime.run(stf::FlowImage::compile(hpl.workload.flow),
+                                 hpl.partial_mapping());
   std::cout << "executed in " << sw.elapsed_s() * 1e3 << " ms across "
             << runtime.last_phase_count()
             << " phases (static pivoting / dynamic update alternation)\n";

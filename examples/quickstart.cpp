@@ -45,10 +45,12 @@ int main() {
 
   // 2. Supply the mapping TaskID -> WorkerID (Section 3.2 of the paper):
   //    here a simple round-robin; real applications use owner-computes
-  //    maps (see the lu_solver example).
+  //    maps (see the lu_solver example). The runtime is configured by one
+  //    engine::Launch and replays the flow compiled into a FlowImage.
   const std::uint32_t workers = 4;
-  rt::Runtime runtime(rt::Config{.num_workers = workers});
-  runtime.run(flow, rt::mapping::round_robin(workers));
+  rt::Runtime runtime(engine::Launch{.workers = workers});
+  runtime.run(stf::FlowImage::compile(flow),
+              rt::mapping::round_robin(workers));
 
   const std::uint64_t got = *flow.registry().typed<std::uint64_t>(result);
   std::cout << "10^2 + 11^2 + 12^2 + 13^2 = " << got << "\n";

@@ -1,6 +1,7 @@
 // Built-in backends. This file is the "exactly one place" a new backend is
 // added: implement engine::Backend (usually a thin facade over an existing
-// runtime) and append one line to register_builtins() at the bottom.
+// runtime that constructs from the caller's Launch) and append one line to
+// register_builtins() at the bottom.
 
 #include <memory>
 #include <optional>
@@ -33,22 +34,6 @@ hybrid::PartialMapping default_partial(std::uint32_t workers) {
     if ((t / 16) % 2 == 0) return static_cast<stf::WorkerId>(t % workers);
     return std::nullopt;
   };
-}
-
-rt::Config make_rio_config(const Launch& l) {
-  return rt::Config{.num_workers = l.workers,
-                    .wait_policy = l.wait_policy,
-                    .collect_stats = l.collect_stats,
-                    .collect_trace = l.collect_trace,
-                    .collect_sync = l.collect_sync,
-                    .enable_guard = l.enable_guard,
-                    .pin_workers = l.pin_workers,
-                    .retry = l.retry,
-                    .fault = l.fault,
-                    .watchdog_ns = l.watchdog_ns,
-                    .resume = l.resume,
-                    .checkpoint = l.checkpoint,
-                    .obs = l.obs};
 }
 
 class SeqBackend final : public Backend {
@@ -96,7 +81,7 @@ class RioBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    rt::Runtime eng(make_rio_config(launch));
+    rt::Runtime eng(launch);
     Outcome out = base_outcome(eng.run(image, launch.mapping), caps());
     out.trace = eng.trace();
     out.sync = eng.sync_trace();
@@ -128,7 +113,7 @@ class PrunedBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    rt::PrunedRuntime eng(make_rio_config(launch));
+    rt::PrunedRuntime eng(launch);
     Outcome out = base_outcome(eng.run(image, launch.mapping), caps());
     out.trace = eng.trace();
     out.sync = eng.sync_trace();
@@ -163,22 +148,7 @@ class CoorBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    coor::Runtime eng(coor::Config{.num_workers = launch.workers,
-                                   .scheduler = launch.scheduler,
-                                   .queue = launch.queue,
-                                   .wait_policy = launch.wait_policy,
-                                   .work_stealing = launch.work_stealing,
-                                   .collect_stats = launch.collect_stats,
-                                   .collect_trace = launch.collect_trace,
-                                   .collect_sync = launch.collect_sync,
-                                   .enable_guard = launch.enable_guard,
-                                   .pin_workers = launch.pin_workers,
-                                   .retry = launch.retry,
-                                   .fault = launch.fault,
-                                   .watchdog_ns = launch.watchdog_ns,
-                                   .resume = launch.resume,
-                                   .checkpoint = launch.checkpoint,
-                                   .obs = launch.obs});
+    coor::Runtime eng(launch);
     Outcome out = base_outcome(eng.run(image), caps());
     out.trace = eng.trace();
     out.sync = eng.sync_trace();
@@ -210,19 +180,7 @@ class HybridBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
-    hybrid::Runtime eng(
-        hybrid::Config{.num_workers = launch.workers,
-                       .wait_policy = launch.wait_policy,
-                       .dynamic_scheduler = launch.scheduler,
-                       .dynamic_work_stealing = launch.work_stealing,
-                       .collect_stats = launch.collect_stats,
-                       .enable_guard = launch.enable_guard,
-                       .retry = launch.retry,
-                       .fault = launch.fault,
-                       .watchdog_ns = launch.watchdog_ns,
-                       .resume = launch.resume,
-                       .checkpoint = launch.checkpoint,
-                       .obs = launch.obs});
+    hybrid::Runtime eng(launch);
     const hybrid::PartialMapping& pm =
         launch.partial ? launch.partial : default_partial(launch.workers);
     Outcome out = base_outcome(eng.run(image, pm), caps());

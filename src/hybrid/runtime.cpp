@@ -3,7 +3,8 @@
 #include <memory>
 
 #include "support/assert.hpp"
-#include "stf/flow_image.hpp"
+#include "coor/runtime.hpp"
+#include "rio/runtime.hpp"
 
 namespace rio::hybrid {
 
@@ -51,22 +52,8 @@ std::vector<Phase> partition(std::size_t num_tasks, const PartialMapping& pm,
   return phases;
 }
 
-std::vector<Phase> partition(const stf::TaskFlow& flow,
-                             const PartialMapping& pm,
-                             std::uint32_t num_workers) {
-  return partition(flow.num_tasks(), pm, num_workers);
-}
-
-Runtime::Runtime(Config cfg) : cfg_(cfg) {
-  RIO_ASSERT_MSG(cfg_.num_workers > 0, "need at least one worker");
-}
-
-support::RunStats Runtime::run(const stf::TaskFlow& flow,
-                               const std::vector<Phase>& phases) {
-  // One compilation serves every phase: each phase executes an ImageRange
-  // slice, so neither engine ever walks the AoS Task array while unrolling.
-  const stf::FlowImage image = stf::FlowImage::compile(flow);
-  return run(image, phases);
+Runtime::Runtime(const engine::Launch& launch) : launch_(launch) {
+  RIO_ASSERT_MSG(launch_.workers > 0, "need at least one worker");
 }
 
 support::RunStats Runtime::run(const stf::FlowImage& image,
@@ -81,44 +68,20 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
   }
   RIO_ASSERT_MSG(expect == image.size(), "phases must cover the flow");
 
-  const std::uint32_t p = cfg_.num_workers;
+  const std::uint32_t p = launch_.workers;
   support::RunStats total;
   // Worker slots 0..p-1 aggregate across phases; slot p is the dynamic
   // phases' master (idle during static phases by construction).
   total.workers.resize(p + 1);
 
-  rt::Runtime rio_engine(rt::Config{.num_workers = p,
-                                    .wait_policy = cfg_.wait_policy,
-                                    .collect_stats = cfg_.collect_stats,
-                                    .collect_trace = false,
-                                    .enable_guard = cfg_.enable_guard,
-                                    .retry = cfg_.retry,
-                                    .fault = cfg_.fault,
-                                    .watchdog_ns = cfg_.watchdog_ns,
-                                    .resume = cfg_.resume,
-                                    .checkpoint = cfg_.checkpoint,
-                                    .obs = cfg_.obs});
-  coor::Runtime coor_engine(
-      coor::Config{.num_workers = p,
-                   .scheduler = cfg_.dynamic_scheduler,
-                   .work_stealing = cfg_.dynamic_work_stealing,
-                   .collect_stats = cfg_.collect_stats,
-                   .collect_trace = false,
-                   .enable_guard = cfg_.enable_guard,
-                   .retry = cfg_.retry,
-                   .fault = cfg_.fault,
-                   .watchdog_ns = cfg_.watchdog_ns,
-                   .resume = cfg_.resume,
-                   .checkpoint = cfg_.checkpoint,
-                   .obs = cfg_.obs});
-  if (cfg_.use_pool) {
-    // One persistent pool for every phase: p workers + 1 master-capable
-    // thread (idle during static phases). Amortizes thread startup across
-    // the potentially many fine-grained phases.
-    if (!pool_) pool_ = std::make_unique<support::ThreadPool>(p + 1);
-    rio_engine.attach_pool(pool_.get());
-    coor_engine.attach_pool(pool_.get());
-  }
+  rt::Runtime rio_engine(launch_);
+  coor::Runtime coor_engine(launch_);
+  // One persistent pool for every phase: p workers + 1 master-capable
+  // thread (idle during static phases). Amortizes thread startup across
+  // the potentially many fine-grained phases.
+  if (!pool_) pool_ = std::make_unique<support::ThreadPool>(p + 1);
+  rio_engine.attach_pool(pool_.get());
+  coor_engine.attach_pool(pool_.get());
 
   // Cross-phase failure propagation: a failing phase (retry exhaustion,
   // stall, any thrown body) throws out of its engine's run() and out of
@@ -154,14 +117,9 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
   return total;
 }
 
-support::RunStats Runtime::run(const stf::TaskFlow& flow,
-                               const PartialMapping& pm) {
-  return run(flow, partition(flow, pm, cfg_.num_workers));
-}
-
 support::RunStats Runtime::run(const stf::FlowImage& image,
                                const PartialMapping& pm) {
-  return run(image, partition(image.size(), pm, cfg_.num_workers));
+  return run(image, partition(image.size(), pm, launch_.workers));
 }
 
 }  // namespace rio::hybrid

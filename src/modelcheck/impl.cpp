@@ -765,7 +765,7 @@ class Explorer {
     std::shared_ptr<const rt::PrunedPlan> pruned;
     // Per-worker doorbells: the rio engines' kBlock path parks on bells
     // (word_notify = false + release-boundary ring_doorbell), exactly as
-    // the production launch() gates it for unwatched block runs.
+    // the production RunArenas::reset gates it for unwatched block runs.
     std::vector<Word<std::uint64_t>> bells;
     const bool use_bells =
         opts_.engine != EngineKind::kCoor && policy == WaitPolicy::kBlock;
@@ -789,8 +789,8 @@ class Explorer {
         for (auto& b : bells) b = {&ctl, ctl.new_word(0)};
       }
       if (opts_.engine == EngineKind::kRioPruned)
-        pruned = std::make_shared<const rt::PrunedPlan>(flow_, mapping_,
-                                                        opts_.workers);
+        pruned = std::make_shared<const rt::PrunedPlan>(
+            stf::FlowImage::compile(flow_), mapping_, opts_.workers);
     } else {
       nodes.resize(n_tasks);
       for (auto& node : nodes) {
@@ -858,7 +858,7 @@ class Explorer {
         case EngineKind::kRioPruned: {
           // Pruned executor: wait on the plan's precomputed expectations,
           // publish through the same terminate halves — the production
-          // run_pruned loop minus telemetry (incl. its doorbell gate).
+          // PrunedRuntime::run loop minus telemetry (incl. its doorbell gate).
           Word<std::uint64_t>* bell = use_bells ? &bells[w] : nullptr;
           const bool word_notify = !use_bells;
           for (const rt::PrunedTask& pt : pruned->tasks_for(w)) {

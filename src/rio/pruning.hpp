@@ -32,7 +32,6 @@
 #include "rio/mapping.hpp"
 #include "rio/runtime.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/task_flow.hpp"
 
 namespace rio::rt {
 
@@ -55,12 +54,8 @@ struct PrunedTask {
 /// dependency expectations. Build once, execute many times.
 class PrunedPlan {
  public:
-  /// O(num_tasks) scan; evaluates `mapping` once per task.
-  PrunedPlan(const stf::TaskFlow& flow, const Mapping& mapping,
-             std::uint32_t num_workers);
-
-  /// Same scan over a compiled image: walks the flat access array instead
-  /// of per-task Access lists. Ids stay global (image.first_id() based).
+  /// O(num_tasks) scan over the image's flat access array; evaluates
+  /// `mapping` once per task. Ids stay global (image.first_id() based).
   PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
              std::uint32_t num_workers);
 
@@ -123,9 +118,7 @@ class PrunedPlanCache {
 /// Runtime::run, but each worker only ever touches its own tasks.
 class PrunedRuntime {
  public:
-  explicit PrunedRuntime(Config cfg);
-
-  support::RunStats run(const stf::TaskFlow& flow, const PrunedPlan& plan);
+  explicit PrunedRuntime(const engine::Launch& launch);
 
   /// Image replay through an explicit plan (bodies come from image.task()).
   support::RunStats run(const stf::FlowImage& image, const PrunedPlan& plan);
@@ -135,10 +128,11 @@ class PrunedRuntime {
   /// is literally `while (...) prt.run(image, mapping);`.
   support::RunStats run(const stf::FlowImage& image, const Mapping& mapping);
 
-  /// Trace of the last run (empty unless cfg.collect_trace).
+  /// Trace of the last run (empty unless launch.collect_trace).
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
 
-  /// Synchronization events of the last run (empty unless cfg.collect_sync).
+  /// Synchronization events of the last run (empty unless
+  /// launch.collect_sync).
   [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
     return sync_trace_;
   }
@@ -149,14 +143,12 @@ class PrunedRuntime {
     return cache_.compiles();
   }
 
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
-
   /// Same contract as Runtime::attach_pool: reuse `pool` for all subsequent
   /// runs instead of spawning threads per run.
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
 
  private:
-  Config cfg_;
+  engine::Launch launch_;
   stf::Trace trace_;
   stf::SyncTrace sync_trace_;
   PrunedPlanCache cache_;

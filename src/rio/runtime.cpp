@@ -1,340 +1,17 @@
 #include "rio/runtime.hpp"
 
 #include <atomic>
-#include <barrier>
-#include <exception>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
-#include "obs/obs.hpp"
 #include "support/assert.hpp"
-#include "support/clock.hpp"
-#include "support/topology.hpp"
-#include "support/watchdog.hpp"
 #include "rio/stall_diag.hpp"
-#include "stf/failure.hpp"
-#include "stf/resilience.hpp"
 
 namespace rio::rt {
-namespace {
 
-/// Watchdog window auto-armed for crash-capable fault plans: the tripwire
-/// detects a recorded death within one poll (~window/8), so recovery
-/// latency is bounded by ~12ms, not by task-flow drain time.
-constexpr std::uint64_t kDefaultCrashWatchdogNs = 100'000'000;  // 100ms
-
-/// Everything one worker needs while unrolling the flow. Lives on the
-/// worker's stack; the vectors are worker-private by construction.
-struct WorkerCtx {
-  stf::WorkerId self = 0;
-  const Mapping* mapping = nullptr;
-  SharedDataState* shared = nullptr;  // array indexed by DataId
-  LocalDataState* local = nullptr;    // worker-private mirror (arena-backed)
-  const stf::DataRegistry* registry = nullptr;
-  support::WaitPolicy policy = support::WaitPolicy::kSpinYield;
-
-  // Doorbell batching (src/rio/doorbell.hpp), engaged for kBlock runs
-  // without a watchdog: this worker parks on bells[self] instead of sync
-  // words, publishes with word_notify = false, and rings every peer's bell
-  // once per completed task.
-  support::AlignedAtomic<std::uint64_t>* bells = nullptr;
-  std::uint32_t num_workers = 1;
-  bool use_bells = false;
-
-  // Instrumentation (all optional). `timed` is the union of every consumer
-  // of the per-task clock reads: the tau buckets, the trace, and the flight
-  // recorder all draw from the SAME obs phase spans (docs/observability.md).
-  bool collect_stats = false;
-  bool collect_trace = false;
-  bool collect_sync = false;
-  bool timed = false;
-  obs::WorkerObs obs;
-  stf::AccessGuard* guard = nullptr;
-  std::atomic<std::uint64_t>* seq = nullptr;  // global completion counter
-  std::atomic<std::uint64_t>* sync_stamp = nullptr;  // sync-event order
-  support::WorkerStats stats;
-  std::vector<stf::TraceEvent> trace;
-  std::vector<stf::SyncEvent> sync;
-
-  // Failure handling: the first thrown exception wins; once `cancelled` is
-  // set, remaining task BODIES are skipped while the synchronization
-  // protocol keeps running, so every worker drains deterministically.
-  std::atomic<bool>* cancelled = nullptr;
-  std::exception_ptr* first_error = nullptr;
-  std::mutex* error_mu = nullptr;
-
-  // Resilience (all optional; the defaults keep the historical fast path).
-  stf::ResilienceOpts res;
-  bool resilient = false;              ///< res.active(), hoisted
-  stf::DataSnapshot snapshot;          ///< rollback arena, worker-private
-  support::WorkerProbe* probe = nullptr;  ///< watchdog observability slot
-
-  // Recovery (docs/robustness.md "worker loss").
-  const stf::Frontier* resume = nullptr;    ///< replay done tasks as no-ops
-  stf::CompletionBoard* checkpoint = nullptr;  ///< live done bitmap
-  std::uint32_t checkpoint_pending = 0;     ///< sampled-progress local count
-  stf::DeathBoard* deaths = nullptr;        ///< crash blotter (crash-armed)
-  bool dead = false;  ///< this worker crashed: exit the unroll loop
-};
-
-/// Records the first error and flips the cancellation flag.
-void record_failure(WorkerCtx& ctx, std::exception_ptr error) {
-  std::lock_guard lock(*ctx.error_mu);
-  if (!*ctx.first_error) *ctx.first_error = std::move(error);
-  ctx.cancelled->store(true, std::memory_order_release);
-}
-
-/// The mapped-here half of Algorithm 1: acquire every access (get_*), run
-/// the body, then release (terminate_*). Acquisition cannot deadlock: a
-/// get_* only waits on the completion of strictly earlier tasks, never on
-/// another waiting worker.
-void execute_owned(const stf::Task& task, WorkerCtx& ctx) {
-  bool stalled = false;
-  std::uint64_t wait_begin = 0;
-  std::uint64_t wait_cause = obs::kNoCause;
-  if (ctx.timed) wait_begin = support::monotonic_ns();
-  std::atomic<std::uint64_t>* bell =
-      ctx.use_bells ? &ctx.bells[ctx.self].value : nullptr;
-  for (const stf::Access& a : task.accesses) {
-    // The expected producer, read before get_* observes the counters —
-    // the same pair the watchdog probe and stall_diag print.
-    const stf::TaskId expected = ctx.local[a.data].last_registered_write;
-    if (ctx.probe != nullptr) {
-      // Publish what we are about to wait for, so a watchdog firing
-      // mid-wait can report expected vs observed counters.
-      ctx.probe->task.store(task.id, std::memory_order_relaxed);
-      ctx.probe->data.store(a.data, std::memory_order_relaxed);
-      ctx.probe->expected_writer.store(expected, std::memory_order_relaxed);
-      ctx.probe->expected_reads.store(ctx.local[a.data].nb_reads_since_write,
-                                      std::memory_order_relaxed);
-      ctx.probe->set_state(support::ProbeState::kWaiting);
-    }
-    const bool waited =
-        is_write(a.mode)
-            ? get_write(ctx.shared[a.data], ctx.local[a.data], ctx.policy,
-                        ctx.res.abort, &ctx.obs.spin_iters, bell)
-            : get_read(ctx.shared[a.data], ctx.local[a.data], ctx.policy,
-                       ctx.res.abort, &ctx.obs.spin_iters, bell);
-    // The last access that stalled is the one whose producer ended the
-    // wait span — that (data, producer) pair is the span's cause.
-    if (waited) wait_cause = obs::make_cause(expected, a.data);
-    stalled |= waited;
-  }
-  if (ctx.probe != nullptr) ctx.probe->set_state(support::ProbeState::kExecuting);
-  if (stalled) {
-    if (ctx.timed)
-      ctx.obs.span(obs::Phase::kAcquireWait, task.id, wait_begin,
-                   support::monotonic_ns(), wait_cause);
-    ctx.obs.count(obs::Counter::kProtocolWaits);
-    if (ctx.collect_stats) ++ctx.stats.waits;
-  }
-
-  // Acquire stamps are drawn AFTER every get_* completed, so each observed
-  // terminate_* (stamped before its publish) sorts strictly earlier — the
-  // invariant the happens-before checker relies on.
-  if (ctx.collect_sync) {
-    for (const stf::Access& a : task.accesses)
-      ctx.sync.push_back(
-          {task.id, ctx.self, a.data, a.mode, stf::SyncKind::kAcquire,
-           ctx.sync_stamp->fetch_add(1, std::memory_order_acq_rel)});
-  }
-
-  if (ctx.guard)
-    for (const stf::Access& a : task.accesses) ctx.guard->acquire(a);
-
-  // Resume replay: a task already inside the completion frontier re-runs
-  // ONLY its protocol ops (the acquires above were pre-satisfied no-ops on
-  // a fresh protocol state in flow order) — its data effects are already
-  // in the registry, so the body, fault injection and checkpoint mark are
-  // all skipped.
-  const bool replay = ctx.resume != nullptr && ctx.resume->done(task.id);
-  bool body_ok = !replay;
-  bool crashed = false;
-  std::uint64_t t0 = 0;
-  if (ctx.timed) t0 = support::monotonic_ns();
-  if (replay) {
-    ctx.obs.count(obs::Counter::kTasksReplayed);
-  } else if (ctx.resilient) {
-    if (!ctx.cancelled->load(std::memory_order_acquire)) {
-      stf::BodyResult r = stf::execute_body(task, *ctx.registry, ctx.self,
-                                            ctx.res, ctx.snapshot);
-      if (r.crashed) {
-        crashed = true;
-      } else if (!r.ok) {
-        body_ok = false;
-        record_failure(ctx, std::move(r.error));
-      }
-    } else {
-      body_ok = false;  // skipped under cancellation: not done, not marked
-    }
-  } else if (task.fn && !ctx.cancelled->load(std::memory_order_acquire)) {
-    stf::TaskContext tc(task, *ctx.registry, ctx.self);
-    try {
-      task.fn(tc);
-    } catch (...) {
-      body_ok = false;
-      record_failure(ctx, std::current_exception());
-    }
-  } else if (ctx.cancelled->load(std::memory_order_acquire)) {
-    body_ok = false;
-  }
-  std::uint64_t t1 = 0;
-  if (ctx.timed) {
-    t1 = support::monotonic_ns();
-    ctx.obs.span(obs::Phase::kBody, task.id, t0, t1);
-  }
-
-  if (ctx.guard)
-    for (const stf::Access& a : task.accesses) ctx.guard->release(a);
-
-  if (crashed) {
-    // Permanent worker death: record the dirty write spans (the body DID
-    // run) and leave without publishing the terminate — dependents block
-    // until the watchdog tripwire aborts the run, and the supervisor
-    // restores `dirty` before replaying this task on a survivor.
-    stf::DeathRecord d;
-    d.worker = ctx.self;
-    d.task = task.id;
-    d.dirty = std::move(ctx.snapshot);
-    ctx.deaths->record(std::move(d));
-    ctx.dead = true;
-    if (ctx.probe != nullptr) ctx.probe->set_state(support::ProbeState::kDone);
-    return;
-  }
-
-  // Checkpoint mark: after the body succeeded, before the terminate
-  // publish — a set bit guarantees the task's effects are present.
-  if (ctx.checkpoint != nullptr && body_ok) {
-    ctx.checkpoint->mark(task.id);
-    ctx.checkpoint->note_completion(ctx.checkpoint_pending);
-  }
-
-  // Release stamps are drawn BEFORE terminate_* publishes anything.
-  if (ctx.collect_sync) {
-    for (const stf::Access& a : task.accesses)
-      ctx.sync.push_back(
-          {task.id, ctx.self, a.data, a.mode, stf::SyncKind::kRelease,
-           ctx.sync_stamp->fetch_add(1, std::memory_order_acq_rel)});
-  }
-
-  const bool word_notify = !ctx.use_bells;
-  for (const stf::Access& a : task.accesses) {
-    if (is_write(a.mode))
-      terminate_write(ctx.shared[a.data], ctx.local[a.data], task.id,
-                      ctx.policy, word_notify);
-    else
-      terminate_read(ctx.shared[a.data], ctx.local[a.data], ctx.policy,
-                     word_notify);
-  }
-  if (ctx.use_bells) {
-    // One bump per peer per task — the whole release boundary batched into
-    // (p - 1) RMWs, with the futex syscall only when a peer is parked.
-    std::uint64_t issued = 0;
-    for (std::uint32_t w = 0; w < ctx.num_workers; ++w) {
-      if (w == ctx.self) continue;
-      if (ring_doorbell(ctx.bells[w].value, ctx.policy)) ++issued;
-    }
-    ctx.obs.count(obs::Counter::kWakeups, ctx.num_workers - 1);
-    ctx.obs.count(obs::Counter::kWakeupsIssued, issued);
-    ctx.obs.count(obs::Counter::kWakeupsElided,
-                  (ctx.num_workers - 1) - issued);
-  } else {
-    ctx.obs.count(obs::Counter::kWakeups, task.accesses.size());
-  }
-  if (ctx.timed)
-    ctx.obs.span(obs::Phase::kRelease, task.id, t1, support::monotonic_ns());
-  ctx.obs.count(obs::Counter::kTasksExecuted);
-
-  if (ctx.collect_trace) {
-    ctx.trace.push_back(
-        {task.id, ctx.self, t0, t1,
-         ctx.seq->fetch_add(1, std::memory_order_relaxed)});
-  }
-  if (ctx.probe != nullptr)
-    ctx.probe->progress.fetch_add(1, std::memory_order_relaxed);
-  if (ctx.collect_stats) ++ctx.stats.tasks_executed;
-}
-
-/// Handles one task in flow order: execute it if mapped here, otherwise
-/// register its accesses locally. This is the body of Algorithm 1
-/// generalized to tasks with several accesses.
-void process_task(const stf::Task& task, WorkerCtx& ctx) {
-  const stf::WorkerId executor = (*ctx.mapping)(task.id);
-  if (executor != ctx.self) {
-    // Not ours: one or two private-memory writes per access, no atomics.
-    for (const stf::Access& a : task.accesses) {
-      if (is_write(a.mode))
-        declare_write(ctx.local[a.data], task.id);
-      else
-        declare_read(ctx.local[a.data]);
-    }
-    if (ctx.collect_stats) ++ctx.stats.tasks_skipped;
-    ctx.obs.count(obs::Counter::kTasksSkipped);
-    return;
-  }
-  execute_owned(task, ctx);
-}
-
-/// Streaming sink: submits flow straight into process_task, assigning ids
-/// by submission order (identical on every worker for a deterministic
-/// program).
-class ReplaySink final : public stf::SubmitSink {
- public:
-  explicit ReplaySink(WorkerCtx& ctx) : ctx_(ctx) {}
-
-  void submit(stf::TaskFn fn, stf::AccessList accesses, std::uint64_t cost,
-              std::string name) override {
-    if (ctx_.dead) {
-      ++next_id_;  // a dead worker ignores the rest of the program
-      return;
-    }
-    stf::Task t;
-    t.id = next_id_++;
-    t.fn = std::move(fn);
-    t.accesses = std::move(accesses);
-    t.cost = cost;
-    t.name = std::move(name);
-    process_task(t, ctx_);
-  }
-
- private:
-  WorkerCtx& ctx_;
-  stf::TaskId next_id_ = 0;
-};
-
-/// Shared fork-join scaffolding of every run flavour: allocates the shared
-/// protocol words and per-worker contexts, aligns the workers on a start
-/// barrier, runs `unroll(ctx)` on each, then folds stats/traces back
-/// together. `unroll` is the whole per-worker walk (streaming, ranged, or
-/// compiled-image replay).
-template <typename UnrollFn>
-support::RunStats launch(const Config& cfg, support::ThreadPool* pool,
-                         const stf::DataRegistry& registry,
-                         std::size_t num_data, std::size_t trace_reserve,
-                         stf::Trace& trace_out, stf::SyncTrace& sync_out,
-                         const Mapping& mapping, RunArenas& arenas,
-                         UnrollFn&& unroll) {
-  RIO_ASSERT(mapping.valid());
-  const std::uint32_t p = cfg.num_workers;
-  // Crash-armed plans force a watchdog (default window when unset): a
-  // worker death must escalate as stf::WorkerLost, never hang the run —
-  // and watched waits are abort-pollable, which the drain relies on.
-  const bool crash_armed =
-      cfg.fault != nullptr && cfg.fault->plan().crash_armed();
-  const std::uint64_t watchdog_ns =
-      cfg.watchdog_ns > 0 ? cfg.watchdog_ns
-                          : (crash_armed ? kDefaultCrashWatchdogNs : 0);
-  const bool watched_early = watchdog_ns > 0;
-  // Doorbell batching replaces per-word notifies for unwatched kBlock runs;
-  // watched runs keep the classic path so abort-aware waits can poll.
-  const bool use_bells = cfg.wait_policy == support::WaitPolicy::kBlock &&
-                         !watched_early && cfg.doorbells;
-
-  // Recycled sync-word arena: reset in place when it already fits.
+bool RunArenas::reset(std::size_t num_data, const engine::Launch& launch,
+                      bool watched) {
   // SharedDataState holds atomics (not copyable), so growth recreates.
-  std::vector<SharedDataState>& shared = arenas.shared;
   if (shared.size() < num_data) {
     shared = std::vector<SharedDataState>(num_data);
   } else {
@@ -344,183 +21,155 @@ support::RunStats launch(const Config& cfg, support::ThreadPool* pool,
       shared[d].nb_reads_since_write.value.store(0, std::memory_order_relaxed);
     }
   }
-  if (use_bells) {
-    if (arenas.bells.size() < p) {
-      arenas.bells =
-          std::vector<support::AlignedAtomic<std::uint64_t>>(p);
-    } else {
-      for (std::uint32_t w = 0; w < p; ++w)
-        arenas.bells[w].value.store(0, std::memory_order_relaxed);
-    }
+  if (launch.wait_policy != support::WaitPolicy::kBlock || watched)
+    return false;
+  if (bells.size() < launch.workers) {
+    bells = std::vector<support::AlignedAtomic<std::uint64_t>>(launch.workers);
+  } else {
+    for (std::uint32_t w = 0; w < launch.workers; ++w)
+      bells[w].value.store(0, std::memory_order_relaxed);
   }
-  stf::AccessGuard guard;
-  if (cfg.enable_guard) guard.enable(num_data);
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<std::uint64_t> sync_stamp{0};
-  std::atomic<bool> cancelled{false};
-  std::atomic<bool> abort{false};  // set only by a firing watchdog
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  stf::DeathBoard deaths;  // crash blotter; observed by the tripwire
-
-  const bool watched = watchdog_ns > 0;
-  std::vector<support::WorkerProbe> probes(watched ? p : 0);
-
-  std::vector<WorkerCtx> ctxs(p);
-  arenas.locals.resize(p);
-  for (std::uint32_t w = 0; w < p; ++w) {
-    WorkerCtx& c = ctxs[w];
-    c.self = w;
-    c.mapping = &mapping;
-    c.shared = shared.data();
-    // Recycled worker-private replica array (assign keeps capacity).
-    arenas.locals[w].assign(num_data, LocalDataState{});
-    c.local = arenas.locals[w].data();
-    c.registry = &registry;
-    c.policy = cfg.wait_policy;
-    c.bells = use_bells ? arenas.bells.data() : nullptr;
-    c.num_workers = p;
-    c.use_bells = use_bells;
-    c.collect_stats = cfg.collect_stats;
-    c.collect_trace = cfg.collect_trace;
-    c.collect_sync = cfg.collect_sync;
-    c.guard = cfg.enable_guard ? &guard : nullptr;
-    c.seq = &seq;
-    c.sync_stamp = &sync_stamp;
-    c.cancelled = &cancelled;
-    c.first_error = &first_error;
-    c.error_mu = &error_mu;
-    c.res.retry = cfg.retry;
-    c.res.fault = cfg.fault;
-    c.res.abort = watched ? &abort : nullptr;
-    c.resilient = c.res.active();
-    c.probe = watched ? &probes[w] : nullptr;
-    c.resume = cfg.resume;
-    c.checkpoint = cfg.checkpoint;
-    c.deaths = crash_armed ? &deaths : nullptr;
-  }
-  if (cfg.obs != nullptr) cfg.obs->ensure_workers(p);
-  for (std::uint32_t w = 0; w < p; ++w) {
-    WorkerCtx& c = ctxs[w];
-    c.obs.bind(cfg.obs, w);
-    c.res.obs = &c.obs;
-    c.timed = cfg.collect_stats || cfg.collect_trace || c.obs.recording();
-  }
-
-  // All workers align on a start barrier so their wall times compare; the
-  // makespan clock wraps the whole fork-join (spawn/wake cost included).
-  std::barrier start(static_cast<std::ptrdiff_t>(p));
-  std::vector<std::uint64_t> worker_wall(p, 0);
-
-  const std::uint32_t cpus = support::detect_topology().logical_cpus;
-  const auto body = [&](std::uint32_t w) {
-    if (cfg.pin_workers) support::pin_current_thread(w % cpus);
-    WorkerCtx& c = ctxs[w];
-    start.arrive_and_wait();
-    const std::uint64_t begin = support::monotonic_ns();
-    unroll(c);
-    if (c.probe != nullptr) c.probe->set_state(support::ProbeState::kDone);
-    worker_wall[w] = support::monotonic_ns() - begin;
-  };
-
-  // Progress watchdog: a monitor thread watches the sum of per-worker
-  // executed-task counters; if it freezes for the whole window, capture the
-  // diagnostic (while workers are still stuck), then cancel + abort so every
-  // wait drains and the run fails with StallError instead of hanging.
-  std::optional<support::Watchdog> watchdog;
-  if (watched) {
-    watchdog.emplace(
-        watchdog_ns,
-        [&probes, p, hub = cfg.obs]() noexcept {
-          if (hub != nullptr)
-            hub->global_counters().add(obs::Counter::kWatchdogProbes);
-          std::uint64_t sum = 0;
-          for (std::uint32_t w = 0; w < p; ++w)
-            sum += probes[w].progress.load(std::memory_order_relaxed);
-          return sum;
-        },
-        [&] {
-          if (cfg.obs != nullptr) {
-            // The watchdog thread owns no ring; stall markers go through
-            // the hub's out-of-band instant list.
-            const std::uint64_t now = support::monotonic_ns();
-            for (std::uint32_t w = 0; w < p; ++w)
-              cfg.obs->instant(
-                  {now, now, probes[w].task.load(std::memory_order_relaxed), w,
-                   obs::Phase::kStallSnapshot});
-          }
-          return stall_diagnostic("rio", watchdog_ns, probes.data(), p,
-                                  shared.data(), num_data);
-        },
-        [&] {
-          cancelled.store(true, std::memory_order_release);
-          abort.store(true, std::memory_order_release);
-        },
-        // Tripwire: a recorded worker death aborts the run at the next
-        // poll even while survivors still make progress elsewhere.
-        crash_armed ? std::function<bool()>([&deaths] {
-          return deaths.any_death();
-        })
-                    : std::function<bool()>());
-  }
-
-  const std::uint64_t t0 = support::monotonic_ns();
-  support::run_parallel(pool, p, body);
-  const std::uint64_t wall = support::monotonic_ns() - t0;
-  if (watchdog) watchdog->stop();
-
-  support::RunStats stats;
-  stats.wall_ns = wall;
-  stats.workers.resize(p);
-  trace_out.clear();
-  sync_out.clear();
-  if (cfg.collect_trace && trace_reserve > 0) trace_out.reserve(trace_reserve);
-  for (std::uint32_t w = 0; w < p; ++w) {
-    WorkerCtx& c = ctxs[w];
-    if (cfg.collect_stats) {
-      // The tau buckets are DERIVED from the obs phase accumulators: task
-      // time is the body phase, idle the acquire-wait stalls, and whatever
-      // was neither is runtime management — unrolling, declare ops,
-      // protocol publication.
-      c.stats.buckets = c.obs.buckets(worker_wall[w]);
-    }
-    c.obs.commit(cfg.obs);
-    stats.workers[w] = c.stats;
-    for (const stf::TraceEvent& ev : c.trace) trace_out.record(ev);
-    for (const stf::SyncEvent& ev : c.sync) sync_out.record(ev);
-  }
-  // Escalation order: worker loss outranks a stall (the stall IS the
-  // death's symptom — dependents of the unpublished task blocked), and a
-  // stall outranks any task failure.
-  if (deaths.any_death())
-    throw stf::WorkerLost(deaths.take(), watchdog && watchdog->fired()
-                                             ? watchdog->diagnostic()
-                                             : std::string());
-  if (watchdog && watchdog->fired()) throw stf::StallError(watchdog->diagnostic());
-  if (first_error) std::rethrow_exception(first_error);
-  return stats;
+  return true;
 }
+
+stf::ReleaseTally RunArenas::ring_peers(stf::WorkerId self,
+                                        std::uint32_t workers,
+                                        support::WaitPolicy policy) {
+  std::uint64_t issued = 0;
+  for (std::uint32_t w = 0; w < workers; ++w)
+    if (w != self && ring_doorbell(bells[w].value, policy)) ++issued;
+  return {workers - 1, issued};
+}
+
+namespace {
+
+/// One worker's unroll state: its harness slot plus its private replica of
+/// every data object's protocol counters (arena-backed).
+struct Unroller {
+  stf::WorkerHarness& harness;
+  stf::HarnessWorker& w;
+  const Mapping& mapping;
+  const engine::Launch& launch;
+  RunArenas& arenas;
+  LocalDataState* local;
+  bool bells;  ///< doorbell batching engaged (RunArenas::reset)
+
+  /// The mapped-here half of Algorithm 1: acquire every access (get_*), run
+  /// the body, then release (terminate_*). Acquisition cannot deadlock: a
+  /// get_* only waits on the completion of strictly earlier tasks.
+  void execute(const stf::Task& task) {
+    SharedDataState* shared = arenas.shared.data();
+    const support::WaitPolicy policy = launch.wait_policy;
+    const std::atomic<bool>* abort = harness.abort_flag();
+    std::atomic<std::uint64_t>* bell =
+        bells ? &arenas.bells[w.self].value : nullptr;
+    harness.execute(
+        w, task,
+        [&] {
+          stf::Acquired acq;
+          for (const stf::Access& a : task.accesses) {
+            const LocalDataState& l = local[a.data];
+            w.await(a.data, l.last_registered_write, l.nb_reads_since_write);
+            const bool waited =
+                is_write(a.mode)
+                    ? get_write(shared[a.data], l, policy, abort,
+                                &w.obs.spin_iters, bell)
+                    : get_read(shared[a.data], l, policy, abort,
+                               &w.obs.spin_iters, bell);
+            if (waited) acq.note(l.last_registered_write, a.data);
+          }
+          return acq;
+        },
+        [&] {
+          for (const stf::Access& a : task.accesses) {
+            if (is_write(a.mode))
+              terminate_write(shared[a.data], local[a.data], task.id, policy,
+                              !bells);
+            else
+              terminate_read(shared[a.data], local[a.data], policy, !bells);
+          }
+          return bells ? arenas.ring_peers(w.self, launch.workers, policy)
+                       : stf::ReleaseTally{task.accesses.size(), std::nullopt};
+        },
+        [] {});
+  }
+
+  /// Handles one task in flow order: execute it if mapped here, otherwise
+  /// register its accesses locally — one or two private-memory writes per
+  /// access, no atomics.
+  void process(const stf::Task& task) {
+    if (mapping(task.id) == w.self) {
+      execute(task);
+      return;
+    }
+    for (const stf::Access& a : task.accesses) {
+      if (is_write(a.mode))
+        declare_write(local[a.data], task.id);
+      else
+        declare_read(local[a.data]);
+    }
+    if (launch.collect_stats) ++w.stats.tasks_skipped;
+    w.obs.count(obs::Counter::kTasksSkipped);
+  }
+};
+
+/// Streaming sink: submits flow straight into Unroller::process, assigning
+/// ids by submission order (identical on every worker for a deterministic
+/// program).
+class ReplaySink final : public stf::SubmitSink {
+ public:
+  explicit ReplaySink(Unroller& u) : u_(u) {}
+
+  void submit(stf::TaskFn fn, stf::AccessList accesses, std::uint64_t cost,
+              std::string name) override {
+    if (u_.w.dead) {
+      ++next_id_;  // a dead worker ignores the rest of the program
+      return;
+    }
+    stf::Task t;
+    t.id = next_id_++;
+    t.fn = std::move(fn);
+    t.accesses = std::move(accesses);
+    t.cost = cost;
+    t.name = std::move(name);
+    u_.process(t);
+  }
+
+ private:
+  Unroller& u_;
+  stf::TaskId next_id_ = 0;
+};
 
 }  // namespace
 
-Runtime::Runtime(Config cfg) : cfg_(cfg) {
-  RIO_ASSERT_MSG(cfg_.num_workers > 0, "need at least one worker");
+Runtime::Runtime(const engine::Launch& launch) : launch_(launch) {
+  RIO_ASSERT_MSG(launch_.workers > 0, "need at least one worker");
 }
 
-support::RunStats Runtime::run(const stf::TaskFlow& flow,
-                               const Mapping& mapping) {
-  return run(stf::FlowRange(flow), mapping);
-}
-
-support::RunStats Runtime::run(const stf::FlowRange& range,
-                               const Mapping& mapping) {
-  return launch(cfg_, pool_, range.registry(), range.num_data(), range.size(),
-                trace_, sync_trace_, mapping, arenas_, [&](WorkerCtx& c) {
-                  for (const stf::Task& task : range) {
-                    process_task(task, c);
-                    if (c.dead) break;
-                  }
-                });
+template <typename Unroll>
+support::RunStats Runtime::launch(const stf::DataRegistry& registry,
+                                  std::size_t num_data,
+                                  std::size_t trace_reserve,
+                                  const Mapping& mapping, Unroll&& unroll) {
+  RIO_ASSERT(mapping.valid());
+  const std::uint32_t p = launch_.workers;
+  stf::WorkerHarness harness("rio", launch_, registry, num_data, p);
+  const bool bells = arenas_.reset(num_data, launch_, harness.watched());
+  if (arenas_.locals.size() < p) arenas_.locals.resize(p);
+  for (std::uint32_t w = 0; w < p; ++w)
+    arenas_.locals[w].assign(num_data, LocalDataState{});  // keeps capacity
+  harness.diagnose = [&] {
+    return stall_diagnostic(harness.probes(), p, arenas_.shared.data(),
+                            num_data);
+  };
+  return harness.run(
+      pool_,
+      [&](stf::HarnessWorker& w) {
+        Unroller u{harness, w,       mapping, launch_,
+                   arenas_, arenas_.locals[w.self].data(), bells};
+        unroll(u);
+      },
+      trace_, sync_trace_, trace_reserve);
 }
 
 support::RunStats Runtime::run(const stf::FlowImage& image,
@@ -539,40 +188,41 @@ support::RunStats Runtime::run(const stf::ImageRange& range,
   const stf::Access* acc = range.accesses_base();
   const stf::TaskId first = n > 0 ? range.first_id() : 0;
   return launch(
-      cfg_, pool_, range.registry(), range.num_data(), n, trace_, sync_trace_,
-      mapping, arenas_, [&, n, spans, acc, first](WorkerCtx& c) {
-        const Mapping& map = *c.mapping;
+      range.registry(), range.num_data(), n, mapping,
+      [&, n, spans, acc, first](Unroller& u) {
+        const Mapping& map = u.mapping;
+        const stf::WorkerId self = u.w.self;
+        LocalDataState* local = u.local;
         std::uint64_t skipped = 0;  // batched: keeps the declare loop tight
         for (std::size_t i = 0; i < n; ++i) {
           const stf::TaskId id = first + i;
-          if (map(id) != c.self) {
+          if (map(id) != self) {
             const stf::FlowImage::Span s = spans[i];
             for (std::uint32_t k = s.begin; k != s.end; ++k) {
               const stf::Access a = acc[k];
               if (is_write(a.mode))
-                declare_write(c.local[a.data], id);
+                declare_write(local[a.data], id);
               else
-                declare_read(c.local[a.data]);
+                declare_read(local[a.data]);
             }
             ++skipped;
             continue;
           }
-          execute_owned(range.task(i), c);
-          if (c.dead) break;
+          u.execute(range.task(i));
+          if (u.w.dead) break;
         }
-        if (c.collect_stats) c.stats.tasks_skipped += skipped;
-        if (skipped > 0) c.obs.count(obs::Counter::kTasksSkipped, skipped);
+        if (u.launch.collect_stats) u.w.stats.tasks_skipped += skipped;
+        if (skipped > 0) u.w.obs.count(obs::Counter::kTasksSkipped, skipped);
       });
 }
 
 support::RunStats Runtime::run_program(const stf::DataRegistry& registry,
                                        const stf::ProgramFn& program,
                                        const Mapping& mapping) {
-  return launch(cfg_, pool_, registry, registry.size(), 0, trace_, sync_trace_,
-                mapping, arenas_, [&](WorkerCtx& c) {
-                  ReplaySink sink(c);
-                  program(sink);  // the worker IS the unroller
-                });
+  return launch(registry, registry.size(), 0, mapping, [&](Unroller& u) {
+    ReplaySink sink(u);
+    program(sink);  // the worker IS the unroller
+  });
 }
 
 }  // namespace rio::rt

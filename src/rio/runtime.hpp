@@ -10,31 +10,28 @@
 //     shared words of each data object (data_object.hpp).
 //
 // Two front ends are provided:
-//   * run(flow, mapping)          — replays a materialized TaskFlow;
+//   * run(image, mapping)         — replays a compiled FlowImage;
 //   * run_program(reg, prog, map) — every worker executes the user program
 //                                   itself (the paper's true decentralized
 //                                   unrolling; nothing is ever stored).
+//
+// Both run inside stf::WorkerHarness, which owns everything around the
+// unroll/declare loop and the get_*/terminate_* calls.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "support/fault.hpp"
+#include "engine/launch.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
 #include "support/wait.hpp"
 #include "rio/data_object.hpp"
 #include "rio/mapping.hpp"
-#include "stf/access_guard.hpp"
 #include "stf/flow_image.hpp"
-#include "stf/flow_range.hpp"
-#include "stf/frontier.hpp"
 #include "stf/task_flow.hpp"
 #include "stf/trace.hpp"
-
-namespace rio::obs {
-class Hub;
-}
+#include "stf/worker_harness.hpp"
 
 namespace rio::rt {
 
@@ -47,72 +44,34 @@ struct RunArenas {
   std::vector<SharedDataState> shared;
   std::vector<std::vector<LocalDataState>> locals;
   std::vector<support::AlignedAtomic<std::uint64_t>> bells;
-};
 
-/// Runtime configuration. Defaults favour correctness on any machine
-/// (yielding waits survive oversubscription); benches flip the knobs.
-struct Config {
-  std::uint32_t num_workers = 2;
-  support::WaitPolicy wait_policy = support::WaitPolicy::kSpinYield;
-  bool collect_stats = true;   ///< fill the tau buckets (adds 4 clock reads
-                               ///< per executed task + 1 per stall); buckets
-                               ///< are derived from the obs phase spans
-  bool collect_trace = false;  ///< record a validatable execution trace
-  bool collect_sync = false;   ///< record acquire/release sync events for
-                               ///< the happens-before checker (src/analysis)
-  bool enable_guard = false;   ///< dynamic data-race detection (tests)
-  bool pin_workers = false;    ///< pin worker w to logical CPU w mod #cpus
-  bool doorbells = true;       ///< kBlock: batch wakeups through per-worker
-                               ///< doorbells (src/rio/doorbell.hpp); false
-                               ///< keeps the legacy per-word notify_all —
-                               ///< the A/B knob bench/micro_protocol flips
+  /// Resets the first `num_data` sync words in place (growing when short)
+  /// and decides whether this run batches kBlock wakeups through per-worker
+  /// doorbells (src/rio/doorbell.hpp) — unwatched kBlock runs only: watched
+  /// runs keep per-word notifies so abort-aware waits can poll. Returns that
+  /// decision, with the doorbells reset when it is yes.
+  bool reset(std::size_t num_data, const engine::Launch& launch,
+             bool watched);
 
-  // Resilience (docs/robustness.md). All default-off: the fast path is
-  // byte-identical to the pre-resilience runtime.
-  support::RetryPolicy retry;  ///< max_attempts > 1 enables retry+rollback
-  support::FaultInjector* fault = nullptr;  ///< deterministic fault
-                                            ///< injection (not owned)
-  std::uint64_t watchdog_ns = 0;  ///< > 0: monitor thread fails the run
-                                  ///< with stf::StallError after this
-                                  ///< no-progress window instead of hanging
-
-  // Recovery (docs/robustness.md "worker loss"). Both borrowed, both
-  // optional. `resume`: tasks marked done in the frontier replay as
-  // protocol no-ops — every acquire is already satisfied, the body is
-  // skipped. `checkpoint`: live completion board this run marks into
-  // (caller sizes it via reset()); a later attempt resumes from its
-  // capture(). Crash-armed fault plans auto-arm a default watchdog so a
-  // worker death always escalates as stf::WorkerLost instead of hanging.
-  const stf::Frontier* resume = nullptr;
-  stf::CompletionBoard* checkpoint = nullptr;
-
-  obs::Hub* obs = nullptr;  ///< telemetry hub (docs/observability.md); not
-                            ///< owned. Null = telemetry off: no counters,
-                            ///< no recorder, zero allocation on that path.
+  /// Release boundary under doorbells: one bump per peer of `self`, the
+  /// futex syscall only when that peer is parked.
+  stf::ReleaseTally ring_peers(stf::WorkerId self, std::uint32_t workers,
+                               support::WaitPolicy policy);
 };
 
 class Runtime {
  public:
-  explicit Runtime(Config cfg);
+  explicit Runtime(const engine::Launch& launch);
 
-  /// Executes a materialized flow under `mapping`. Blocks until all tasks
-  /// completed on all workers. Thread-safe data access is entirely the
-  /// protocol's job — this call performs no per-task allocation.
-  support::RunStats run(const stf::TaskFlow& flow, const Mapping& mapping);
-
-  /// Range variant: executes a slice of a flow (all tasks before the slice
-  /// must already be complete — the hybrid runtime's phase barrier
-  /// guarantees this). Task ids stay global; the mapping sees them as-is.
-  support::RunStats run(const stf::FlowRange& range, const Mapping& mapping);
-
-  /// Fast replay from a compiled FlowImage (stf/flow_image.hpp): the
-  /// non-mapped path is a tight loop over the image's flat access array —
-  /// no Task records, no InlineVec iteration, just the one-or-two private
-  /// writes per access the cost model promises. Compile the image once,
-  /// run it many times.
+  /// Replays a compiled FlowImage (stf/flow_image.hpp) under `mapping`:
+  /// the non-mapped path is a tight loop over the image's flat access
+  /// array — no Task records, just the one-or-two private writes per access
+  /// the cost model promises. Blocks until all tasks completed on all
+  /// workers; performs no per-task allocation. Compile once, run many times.
   support::RunStats run(const stf::FlowImage& image, const Mapping& mapping);
 
-  /// Image-slice variant (hybrid phase execution).
+  /// Image-slice variant (hybrid phase execution): all tasks before the
+  /// slice must already be complete. Task ids stay global.
   support::RunStats run(const stf::ImageRange& range, const Mapping& mapping);
 
   /// Streaming mode: each worker runs `program` itself against a
@@ -122,24 +81,28 @@ class Runtime {
                                 const stf::ProgramFn& program,
                                 const Mapping& mapping);
 
-  /// Trace of the last run (empty unless cfg.collect_trace).
+  /// Trace of the last run (empty unless launch.collect_trace).
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
 
-  /// Synchronization events of the last run (empty unless cfg.collect_sync).
+  /// Synchronization events of the last run (empty unless
+  /// launch.collect_sync).
   [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
     return sync_trace_;
   }
 
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
-
-  /// Uses `pool` (>= num_workers threads) for subsequent runs instead of
+  /// Uses `pool` (>= workers threads) for subsequent runs instead of
   /// spawning threads per run — amortizes thread startup for repeated
   /// fine-grained runs and for hybrid phase execution. Pass nullptr to
   /// detach. The pool must outlive the runtime's runs.
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
 
  private:
-  Config cfg_;
+  template <typename Unroll>
+  support::RunStats launch(const stf::DataRegistry& registry,
+                           std::size_t num_data, std::size_t trace_reserve,
+                           const Mapping& mapping, Unroll&& unroll);
+
+  engine::Launch launch_;
   stf::Trace trace_;
   stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;

@@ -23,18 +23,15 @@ inline std::string fmt_task_id(std::uint64_t id) {
 }
 }  // namespace detail
 
-/// Renders the per-worker diagnostic from the probes plus the live shared
-/// protocol words. Called on the watchdog thread while workers are still
-/// stuck — relaxed/acquire reads only, no locks.
-inline std::string stall_diagnostic(const char* engine,
-                                    std::uint64_t window_ns,
-                                    const support::WorkerProbe* probes,
+/// Renders the per-worker lines (stf::WorkerHarness prints the header)
+/// from the probes plus the live shared protocol words. Called on the
+/// watchdog thread while workers are still stuck — relaxed/acquire reads
+/// only, no locks.
+inline std::string stall_diagnostic(const support::WorkerProbe* probes,
                                     std::uint32_t num_workers,
                                     const SharedDataState* shared,
                                     std::size_t num_data) {
   std::ostringstream os;
-  os << engine << ": no progress for "
-     << static_cast<double>(window_ns) / 1e6 << " ms\n";
   for (std::uint32_t w = 0; w < num_workers; ++w) {
     const support::WorkerProbe& pr = probes[w];
     const support::ProbeState st = pr.get_state();

@@ -402,10 +402,10 @@ stf::TaskFlow make_chained_flow() {
 
 TEST(HbChecker, RioRecordedRunHasNoRaces) {
   stf::TaskFlow flow = make_chained_flow();
-  rt::Runtime engine(rt::Config{.num_workers = 2,
-                                .collect_trace = true,
-                                .collect_sync = true});
-  engine.run(flow, rt::mapping::round_robin(2));
+  rt::Runtime engine(engine::Launch{.workers = 2,
+                                    .collect_trace = true,
+                                    .collect_sync = true});
+  engine.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
   ASSERT_FALSE(engine.sync_trace().empty());
   const analysis::Report r =
       analysis::check_happens_before(flow, engine.sync_trace());
@@ -417,10 +417,10 @@ TEST(HbChecker, RioRecordedRunHasNoRaces) {
 
 TEST(HbChecker, CoorRecordedRunHasNoRaces) {
   stf::TaskFlow flow = make_chained_flow();
-  coor::Runtime engine(coor::Config{.num_workers = 2,
-                                    .collect_trace = true,
-                                    .collect_sync = true});
-  engine.run(flow);
+  coor::Runtime engine(engine::Launch{.workers = 2,
+                                      .collect_trace = true,
+                                      .collect_sync = true});
+  engine.run(stf::FlowImage::compile(flow));
   ASSERT_FALSE(engine.sync_trace().empty());
   const analysis::Report r =
       analysis::check_happens_before(flow, engine.sync_trace());
@@ -432,8 +432,8 @@ TEST(HbChecker, CoorRecordedRunHasNoRaces) {
 
 TEST(HbChecker, SyncRecordingIsOffByDefault) {
   stf::TaskFlow flow = make_chained_flow();
-  rt::Runtime engine(rt::Config{.num_workers = 2});
-  engine.run(flow, rt::mapping::round_robin(2));
+  rt::Runtime engine(engine::Launch{.workers = 2});
+  engine.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
   EXPECT_TRUE(engine.sync_trace().empty());
 }
 

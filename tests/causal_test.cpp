@@ -168,10 +168,10 @@ TEST(CausalRio, WaitTotalReconcilesWithPhaseTotalExactly) {
   const std::uint32_t p = 2;
   auto wl = chain(24, 100000, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
-  eng.run(wl.flow, wl.mapping(p));
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
+  eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(p));
   ASSERT_EQ(hub.dropped(), 0u);
 
   const obs::causal::Analysis an = obs::causal::analyze(hub);
@@ -196,11 +196,11 @@ TEST(CausalRio, PrunedRuntimeAttributesToo) {
   const std::uint32_t p = 2;
   auto wl = chain(24, 100000, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::PrunedPlan plan(wl.flow, wl.mapping(p), p);
-  rt::PrunedRuntime eng(rt::Config{.num_workers = p,
-                                   .collect_stats = true,
-                                   .obs = &hub});
-  eng.run(wl.flow, plan);
+  rt::PrunedPlan plan(stf::FlowImage::compile(wl.flow), wl.mapping(p), p);
+  rt::PrunedRuntime eng(engine::Launch{.workers = p,
+                                       .collect_stats = true,
+                                       .obs = &hub});
+  eng.run(stf::FlowImage::compile(wl.flow), plan);
   ASSERT_EQ(hub.dropped(), 0u);
 
   const obs::causal::Analysis an = obs::causal::analyze(hub);
@@ -217,10 +217,10 @@ TEST(CausalExport, PerfettoFlowEventsAreStructurallyValid) {
   const std::uint32_t p = 2;
   auto wl = chain(24, 100000, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
-  eng.run(wl.flow, wl.mapping(p));
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
+  eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(p));
 
   std::ostringstream os;
   obs::write_perfetto_trace(hub, os);
@@ -281,10 +281,10 @@ TEST(CausalSampling, SampledRunKeepsIdentityAndAnalyzerBounds) {
   const std::uint32_t p = 2;
   auto wl = cholesky(5, p, workloads::BodyKind::kCounter);
   obs::Hub hub(obs::HubOptions{.recorder = true, .sample = 4});
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
-  eng.run(wl.flow, wl.mapping(p));
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
+  eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(p));
 
   EXPECT_EQ(hub.sample_stride(), 4u);
   EXPECT_EQ(hub.recorded() + hub.dropped(), hub.pushed());

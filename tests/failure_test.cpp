@@ -65,22 +65,24 @@ TEST(Failure, EveryBackendPropagatesBodyException) {
 TEST(Failure, RioRuntimeUsableAfterFailure) {
   std::atomic<int> executed{0};
   auto bad = throwing_flow(20, 0, executed);
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
-  EXPECT_THROW(runtime.run(bad, rt::mapping::round_robin(2)), BoomError);
+  rt::Runtime runtime(engine::Launch{.workers = 2});
+  EXPECT_THROW(
+      runtime.run(stf::FlowImage::compile(bad), rt::mapping::round_robin(2)),
+               BoomError);
 
   stf::TaskFlow good;
   auto d = good.create_data<int>("d");
   for (int i = 0; i < 10; ++i)
     good.add("inc", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  runtime.run(good, rt::mapping::round_robin(2));
+  runtime.run(stf::FlowImage::compile(good), rt::mapping::round_robin(2));
   EXPECT_EQ(*good.registry().typed<int>(d), 10);
 }
 
 TEST(Failure, StreamingModePropagates) {
   stf::DataRegistry registry;
   auto d = registry.create<int>("d");
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
+  rt::Runtime runtime(engine::Launch{.workers = 2});
   EXPECT_THROW(
       runtime.run_program(
           registry,
@@ -100,9 +102,9 @@ TEST(Failure, HybridPropagatesFromEitherPhaseKind) {
   for (int throw_at : {2, 12}) {  // 2 = static phase, 12 = dynamic phase
     std::atomic<int> executed{0};
     auto flow = throwing_flow(20, throw_at, executed);
-    hybrid::Runtime runtime(hybrid::Config{.num_workers = 2});
+    hybrid::Runtime runtime(engine::Launch{.workers = 2});
     EXPECT_THROW(
-        runtime.run(flow,
+        runtime.run(stf::FlowImage::compile(flow),
                     [](stf::TaskId t) -> std::optional<stf::WorkerId> {
                       if (t < 10) return static_cast<stf::WorkerId>(t % 2);
                       return std::nullopt;
@@ -126,8 +128,10 @@ TEST(Failure, FirstOfManyExceptionsWins) {
   stf::TaskFlow flow;
   for (int i = 0; i < 12; ++i)
     flow.add("boom", [](stf::TaskContext&) { throw BoomError{}; }, {});
-  rt::Runtime runtime(rt::Config{.num_workers = 4});
-  EXPECT_THROW(runtime.run(flow, rt::mapping::round_robin(4)), BoomError);
+  rt::Runtime runtime(engine::Launch{.workers = 4});
+  EXPECT_THROW(
+      runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(4)),
+      BoomError);
 }
 
 // ---- Resilience layer ----------------------------------------------------
@@ -181,11 +185,11 @@ TEST(Resilience, RetryExhaustionThrowsTaskFailure) {
   plan.throw_tasks = {7};
   plan.throw_attempts = 99;  // never stops throwing
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2,
-                                 .retry = {.max_attempts = 3},
-                                 .fault = &injector});
+  rt::Runtime runtime(engine::Launch{.workers = 2,
+                                     .retry = {.max_attempts = 3},
+                                     .fault = &injector});
   try {
-    runtime.run(flow, rt::mapping::round_robin(2));
+    runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
     FAIL() << "expected TaskFailure";
   } catch (const stf::TaskFailure& f) {
     EXPECT_EQ(f.report().task, 7u);
@@ -207,8 +211,9 @@ TEST(Resilience, NoRetryKeepsBareExceptionContract) {
   plan.throw_tasks = {4};
   plan.throw_attempts = 99;
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .fault = &injector});
-  EXPECT_THROW(runtime.run(flow, rt::mapping::round_robin(2)),
+  rt::Runtime runtime(engine::Launch{.workers = 2, .fault = &injector});
+  EXPECT_THROW(
+      runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2)),
                support::InjectedFault);
 }
 
@@ -219,11 +224,11 @@ TEST(Resilience, RioWatchdogFailsStalledRun) {
   plan.stall_tasks = {10};
   plan.stall_ns = 10'000'000'000ull;  // 10 s — far beyond the window
   support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2,
-                                 .fault = &injector,
-                                 .watchdog_ns = 200'000'000ull});
+  rt::Runtime runtime(engine::Launch{.workers = 2,
+                                     .fault = &injector,
+                                     .watchdog_ns = 200'000'000ull});
   try {
-    runtime.run(flow, rt::mapping::round_robin(2));
+    runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
     FAIL() << "expected StallError";
   } catch (const stf::StallError& e) {
     // The diagnostic names every worker and was captured mid-stall.
@@ -254,8 +259,17 @@ TEST(Resilience, WatchdogFailsStalledRunOnEveryWatchdogBackend) {
     launch.fault = &injector;
     launch.watchdog_ns = 200'000'000ull;
     if (caps.needs_mapping) launch.mapping = rt::mapping::round_robin(2);
-    EXPECT_THROW((void)backend->run(stf::FlowImage::compile(flow), launch),
-                 stf::StallError);
+    try {
+      (void)backend->run(stf::FlowImage::compile(flow), launch);
+      ADD_FAILURE() << "expected StallError";
+    } catch (const stf::StallError& e) {
+      // The diagnostic opens with the engine that stalled (hybrid's stall
+      // sits in a dynamic phase, so it names coor).
+      const std::string engine =
+          backend->name() == "hybrid" ? "coor" : std::string(backend->name());
+      EXPECT_EQ(e.diagnostic().rfind(engine + ": no progress", 0), 0u)
+          << e.diagnostic();
+    }
   }
 }
 
@@ -266,11 +280,11 @@ TEST(Resilience, CoorWatchdogFailsStalledRun) {
   plan.stall_tasks = {10};
   plan.stall_ns = 10'000'000'000ull;
   support::FaultInjector injector(plan);
-  coor::Runtime runtime(coor::Config{.num_workers = 2,
-                                     .fault = &injector,
-                                     .watchdog_ns = 200'000'000ull});
+  coor::Runtime runtime(engine::Launch{.workers = 2,
+                                       .fault = &injector,
+                                       .watchdog_ns = 200'000'000ull});
   try {
-    runtime.run(flow);
+    runtime.run(stf::FlowImage::compile(flow));
     FAIL() << "expected StallError";
   } catch (const stf::StallError& e) {
     EXPECT_NE(e.diagnostic().find("coor"), std::string::npos);
@@ -300,11 +314,11 @@ TEST(Resilience, HybridPhaseFailureCancelsLaterPhases) {
   plan.throw_tasks = {12};
   plan.throw_attempts = 99;
   support::FaultInjector injector(plan);
-  hybrid::Runtime runtime(hybrid::Config{.num_workers = 2,
+  hybrid::Runtime runtime(engine::Launch{.workers = 2,
                                          .retry = {.max_attempts = 2},
                                          .fault = &injector});
   EXPECT_THROW(
-      runtime.run(flow,
+      runtime.run(stf::FlowImage::compile(flow),
                   [](stf::TaskId t) -> std::optional<stf::WorkerId> {
                     if (t < 10 || t >= 20)
                       return static_cast<stf::WorkerId>(t % 2);
@@ -321,7 +335,7 @@ TEST(Resilience, ThrowViaFlowImageRunCancels) {
   std::atomic<int> executed{0};
   auto flow = throwing_flow(30, 9, executed);
   const auto image = stf::FlowImage::compile(flow);
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
+  rt::Runtime runtime(engine::Launch{.workers = 2});
   EXPECT_THROW(runtime.run(image, rt::mapping::round_robin(2)), BoomError);
   EXPECT_EQ(executed.load(), 9);
 }
@@ -338,10 +352,10 @@ TEST(Resilience, PerTaskRetryBudgetOverridesGlobal) {
   plan.throw_attempts = 3;
   support::FaultInjector injector(plan);
   rt::Runtime runtime(
-      rt::Config{.num_workers = 2,
-                 .retry = {.max_attempts = 2, .task_attempts = {{5, 5}}},
-                 .fault = &injector});
-  runtime.run(flow, rt::mapping::round_robin(2));
+      engine::Launch{.workers = 2,
+                     .retry = {.max_attempts = 2, .task_attempts = {{5, 5}}},
+                     .fault = &injector});
+  runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<int>(d), 12);
   EXPECT_EQ(injector.injected_throws(), 3u);
 }
@@ -356,11 +370,11 @@ TEST(Resilience, PerTaskRetryBudgetCanAlsoShrink) {
   plan.throw_attempts = 99;
   support::FaultInjector injector(plan);
   rt::Runtime runtime(
-      rt::Config{.num_workers = 2,
-                 .retry = {.max_attempts = 4, .task_attempts = {{5, 1}}},
-                 .fault = &injector});
+      engine::Launch{.workers = 2,
+                     .retry = {.max_attempts = 4, .task_attempts = {{5, 1}}},
+                     .fault = &injector});
   try {
-    runtime.run(flow, rt::mapping::round_robin(2));
+    runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
     FAIL() << "expected TaskFailure";
   } catch (const stf::TaskFailure& f) {
     EXPECT_EQ(f.report().task, 5u);
@@ -390,24 +404,39 @@ TEST(Recovery, CompletionBoardTracksExactFrontier) {
 }
 
 TEST(Recovery, CrashWithoutSupervisorEscalatesWorkerLost) {
-  // A crash-armed plan with nobody supervising: the run must abort with
-  // stf::WorkerLost (not hang, not succeed), carrying the death record.
-  stf::DataHandle<int> d;
-  auto flow = increment_chain(20, d);
-  support::FaultPlan plan;
-  plan.crash_tasks = {8};
-  plan.max_crashes = 1;
-  support::FaultInjector injector(plan);
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .fault = &injector});
-  try {
-    runtime.run(flow, rt::mapping::round_robin(2));
-    FAIL() << "expected WorkerLost";
-  } catch (const stf::WorkerLost& loss) {
-    ASSERT_EQ(loss.deaths().size(), 1u);
-    EXPECT_EQ(loss.deaths()[0].task, 8u);
-    EXPECT_EQ(loss.deaths()[0].worker, 8u % 2);
+  // Registry matrix over every recovery backend: a crash-armed plan with
+  // nobody supervising and NO watchdog configured must still abort with
+  // stf::WorkerLost (not hang, not succeed), carrying the death record —
+  // the crash-armed default window arms itself on every engine.
+  for (const engine::Backend* backend : engine::Registry::instance().all()) {
+    const engine::Capabilities& caps = backend->caps();
+    if (!caps.executes_bodies || !caps.supports_recovery) continue;
+    SCOPED_TRACE(std::string(backend->name()));
+
+    stf::DataHandle<int> d;
+    auto flow = increment_chain(20, d);
+    support::FaultPlan plan;
+    plan.crash_tasks = {8};
+    plan.max_crashes = 1;
+    support::FaultInjector injector(plan);
+
+    engine::Launch launch;
+    launch.workers = 2;
+    launch.fault = &injector;
+    launch.watchdog_ns = 0;
+    if (caps.needs_mapping) launch.mapping = rt::mapping::round_robin(2);
+    try {
+      (void)backend->run(stf::FlowImage::compile(flow), launch);
+      ADD_FAILURE() << "expected WorkerLost";
+    } catch (const stf::WorkerLost& loss) {
+      ASSERT_EQ(loss.deaths().size(), 1u);
+      EXPECT_EQ(loss.deaths()[0].task, 8u);
+      if (caps.needs_mapping) {
+        EXPECT_EQ(loss.deaths()[0].worker, 8u % 2);
+      }
+    }
+    EXPECT_EQ(injector.injected_crashes(), 1u);
   }
-  EXPECT_EQ(injector.injected_crashes(), 1u);
 }
 
 TEST(Recovery, SupervisedRunRecoversOnEveryRecoveryBackend) {
@@ -505,10 +534,10 @@ TEST(Recovery, ResumeSkipsFrontierTasksAndReportsReplay) {
   const stf::Frontier frontier = board.capture();
 
   obs::Hub hub;
-  rt::Runtime runtime(rt::Config{.num_workers = 2,
-                                 .resume = &frontier,
-                                 .obs = &hub});
-  runtime.run(flow, rt::mapping::round_robin(2));
+  rt::Runtime runtime(engine::Launch{.workers = 2,
+                                     .resume = &frontier,
+                                     .obs = &hub});
+  runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
   EXPECT_EQ(executed.load(), 10);  // only the un-done half ran
   EXPECT_EQ(*flow.registry().typed<int>(d), 10);
   EXPECT_EQ(hub.counter_snapshot().total(obs::Counter::kTasksReplayed), 10u);
@@ -544,7 +573,7 @@ TEST(Resilience, PrunedCachedPlanSurvivesFailure) {
              {stf::readwrite(d)});
   const auto image = stf::FlowImage::compile(flow);
   const auto mapping = rt::mapping::round_robin(2);
-  rt::PrunedRuntime runtime(rt::Config{.num_workers = 2});
+  rt::PrunedRuntime runtime(engine::Launch{.workers = 2});
 
   EXPECT_THROW(runtime.run(image, mapping), BoomError);
   EXPECT_EQ(executed.load(), 7);

@@ -2,10 +2,10 @@
 //
 // The compiled SoA image (stf/flow_image.hpp) must be a faithful mirror of
 // the source flow — same accesses, costs, names, ids — and replaying it
-// through any engine must be indistinguishable from streaming the AoS
-// flow: identical traces (up to scheduling freedom), identical final data,
-// clean happens-before verdicts, and a pruned-plan cache that compiles
-// exactly once per (image, mapping, workers) key.
+// through any engine must be indistinguishable from rio's streaming
+// run_program: identical traces (up to scheduling freedom), identical final
+// data, clean happens-before verdicts, and a pruned-plan cache that
+// compiles exactly once per (image, mapping, workers) key.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -160,13 +160,20 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   auto wl_stream = make_equivalence_workload();
   auto wl_image = make_equivalence_workload();
   auto wl_pruned = make_equivalence_workload();
-  const rt::Config cfg{.num_workers = kWorkers,
-                       .collect_trace = true,
-                       .collect_sync = true};
+  const engine::Launch cfg{.workers = kWorkers,
+                           .collect_trace = true,
+                           .collect_sync = true};
   const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
 
+  // Streaming: every worker re-submits the flow's tasks itself.
   rt::Runtime streaming(cfg);
-  streaming.run(wl_stream.flow, wl_stream.mapping(kWorkers));
+  streaming.run_program(
+      wl_stream.flow.registry(),
+      [&](stf::SubmitSink& sink) {
+        for (const stf::Task& t : wl_stream.flow.tasks())
+          sink.submit(t.fn, t.accesses, t.cost, t.name);
+      },
+      wl_stream.mapping(kWorkers));
   ASSERT_TRUE(
       streaming.trace().validate(wl_stream.flow, graph, true).ok());
   expect_clean_sync(wl_stream.flow, streaming.sync_trace(), "streaming");
@@ -194,36 +201,36 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   EXPECT_EQ(assignment(streaming.trace()), assignment(pruned.trace()));
 }
 
-TEST(FlowImageReplay, CoorImageMatchesStreaming) {
+TEST(FlowImageReplay, CoorImageReplayIsRepeatable) {
+  // Two images replayed on ONE coor runtime: the second run recycles the
+  // node arena and must be as clean as the first.
   auto wl_seq = make_equivalence_workload();
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
-  auto wl_stream = make_equivalence_workload();
-  auto wl_image = make_equivalence_workload();
-  const coor::Config cfg{.num_workers = 2,
-                         .collect_trace = true,
-                         .collect_sync = true};
-  const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
+  auto wl_first = make_equivalence_workload();
+  auto wl_second = make_equivalence_workload();
+  const engine::Launch cfg{.workers = 2,
+                           .collect_trace = true,
+                           .collect_sync = true};
+  const stf::DependencyGraph graph(stf::FlowRange(wl_first.flow));
 
-  coor::Runtime streaming(cfg);
-  streaming.run(wl_stream.flow);
-  ASSERT_TRUE(
-      streaming.trace().validate(wl_stream.flow, graph, false).ok());
-  expect_clean_sync(wl_stream.flow, streaming.sync_trace(), "coor streaming");
-  expect_same_registry(wl_stream.flow.registry(), wl_seq.flow.registry(),
-                       "coor streaming");
+  coor::Runtime coor_rt(cfg);
+  coor_rt.run(stf::FlowImage::compile(wl_first.flow));
+  ASSERT_TRUE(coor_rt.trace().validate(wl_first.flow, graph, false).ok());
+  expect_clean_sync(wl_first.flow, coor_rt.sync_trace(), "coor first");
+  expect_same_registry(wl_first.flow.registry(), wl_seq.flow.registry(),
+                       "coor first");
+  const std::size_t first_events = coor_rt.trace().size();
 
-  coor::Runtime image_rt(cfg);
-  const stf::FlowImage image = stf::FlowImage::compile(wl_image.flow);
-  image_rt.run(image);
-  ASSERT_TRUE(image_rt.trace().validate(wl_image.flow, graph, false).ok());
-  expect_clean_sync(wl_image.flow, image_rt.sync_trace(), "coor image");
-  expect_same_registry(wl_image.flow.registry(), wl_seq.flow.registry(),
-                       "coor image");
+  coor_rt.run(stf::FlowImage::compile(wl_second.flow));
+  ASSERT_TRUE(coor_rt.trace().validate(wl_second.flow, graph, false).ok());
+  expect_clean_sync(wl_second.flow, coor_rt.sync_trace(), "coor second");
+  expect_same_registry(wl_second.flow.registry(), wl_seq.flow.registry(),
+                       "coor second");
 
   // OoO scheduling may reorder, but both executions cover every task
   // exactly once.
-  EXPECT_EQ(streaming.trace().size(), image_rt.trace().size());
+  EXPECT_EQ(first_events, coor_rt.trace().size());
 }
 
 // ----------------------------------------------------------------- cache ---
@@ -233,7 +240,7 @@ TEST(PruningCache, SecondRunCompilesNothing) {
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
   const rt::Mapping mapping = wl.mapping(2);
 
-  rt::PrunedRuntime prt(rt::Config{.num_workers = 2});
+  rt::PrunedRuntime prt(engine::Launch{.workers = 2});
   EXPECT_EQ(prt.plan_compiles(), 0u);
   prt.run(image, mapping);
   EXPECT_EQ(prt.plan_compiles(), 1u);
@@ -268,29 +275,58 @@ TEST(PruningCache, CopiedMappingSharesIdentity) {
 }
 
 TEST(PruningCache, ImagePlanMatchesFlowPlan) {
-  auto wl = make_equivalence_workload();
-  const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
-  const rt::Mapping mapping = wl.mapping(3);
-  const rt::PrunedPlan from_flow(wl.flow, mapping, 3);
-  const rt::PrunedPlan from_image(image, mapping, 3);
-  ASSERT_EQ(from_flow.total_tasks(), from_image.total_tasks());
-  for (stf::WorkerId w = 0; w < 3; ++w) {
-    const auto& fa = from_flow.tasks_for(w);
-    const auto& fb = from_image.tasks_for(w);
-    ASSERT_EQ(fa.size(), fb.size()) << "worker " << w;
-    for (std::size_t i = 0; i < fa.size(); ++i) {
-      EXPECT_EQ(fa[i].id, fb[i].id);
-      ASSERT_EQ(fa[i].accesses.size(), fb[i].accesses.size());
-      for (std::size_t k = 0; k < fa[i].accesses.size(); ++k) {
-        EXPECT_EQ(fa[i].accesses[k].data, fb[i].accesses[k].data);
-        EXPECT_EQ(fa[i].accesses[k].mode, fb[i].accesses[k].mode);
-        EXPECT_EQ(fa[i].accesses[k].expected_writer,
-                  fb[i].accesses[k].expected_writer);
-        EXPECT_EQ(fa[i].accesses[k].expected_reads,
-                  fb[i].accesses[k].expected_reads);
-      }
-    }
-  }
+  // make_named_flow under round_robin(2):
+  //   t0 init      W(a)          -> worker 0
+  //   t1 read-both R(a) W(b)     -> worker 1
+  //   t2 (virtual) no accesses   -> worker 0
+  //   t3 fini      RW(b)         -> worker 1
+  // Each access expects the flow's last writer before it and, for writes,
+  // the reads since that writer — the values a fully-unrolling worker's
+  // local replica would hold.
+  const stf::TaskFlow flow = make_named_flow();
+  const rt::PrunedPlan plan(stf::FlowImage::compile(flow),
+                            rt::mapping::round_robin(2), 2);
+  ASSERT_EQ(plan.total_tasks(), 4u);
+  const auto& w0 = plan.tasks_for(0);
+  const auto& w1 = plan.tasks_for(1);
+  ASSERT_EQ(w0.size(), 2u);
+  ASSERT_EQ(w1.size(), 2u);
+
+  EXPECT_EQ(w0[0].id, 0u);
+  ASSERT_EQ(w0[0].accesses.size(), 1u);
+  EXPECT_EQ(w0[0].accesses[0].expected_writer, rt::kNoWrite);
+  EXPECT_EQ(w0[0].accesses[0].expected_reads, 0u);
+  EXPECT_EQ(w0[1].id, 2u);
+  EXPECT_TRUE(w0[1].accesses.empty());
+
+  EXPECT_EQ(w1[0].id, 1u);
+  ASSERT_EQ(w1[0].accesses.size(), 2u);
+  EXPECT_EQ(w1[0].accesses[0].mode, stf::AccessMode::kRead);
+  EXPECT_EQ(w1[0].accesses[0].expected_writer, 0u);  // init wrote a
+  EXPECT_EQ(w1[0].accesses[1].mode, stf::AccessMode::kWrite);
+  EXPECT_EQ(w1[0].accesses[1].expected_writer, rt::kNoWrite);
+  EXPECT_EQ(w1[0].accesses[1].expected_reads, 0u);
+
+  EXPECT_EQ(w1[1].id, 3u);
+  ASSERT_EQ(w1[1].accesses.size(), 1u);
+  EXPECT_EQ(w1[1].accesses[0].expected_writer, 1u);  // read-both wrote b
+  EXPECT_EQ(w1[1].accesses[0].expected_reads, 0u);
+
+  // A read between two writes is counted for the second writer.
+  stf::TaskFlow rw;
+  auto d = rw.create_data<int>("d");
+  rw.add("w", {}, {stf::write(d)});
+  rw.add("r1", {}, {stf::read(d)});
+  rw.add("r2", {}, {stf::read(d)});
+  rw.add("w2", {}, {stf::write(d)});
+  const rt::PrunedPlan rw_plan(stf::FlowImage::compile(rw),
+                               rt::mapping::single(), 1);
+  const auto& all = rw_plan.tasks_for(0);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all[1].accesses[0].expected_writer, 0u);
+  EXPECT_EQ(all[2].accesses[0].expected_writer, 0u);
+  EXPECT_EQ(all[3].accesses[0].expected_writer, 0u);
+  EXPECT_EQ(all[3].accesses[0].expected_reads, 2u);
 }
 
 // ------------------------------------------------------------------- sim ---

@@ -6,7 +6,9 @@
 #include <cstring>
 #include <optional>
 
+#include "coor/runtime.hpp"
 #include "hybrid/hybrid.hpp"
+#include "rio/runtime.hpp"
 #include "stf/stf.hpp"
 #include "workloads/workloads.hpp"
 
@@ -25,7 +27,7 @@ TEST(Partition, SplitsAtMappingBoundaries) {
     if (t >= 3 && t <= 6) return static_cast<stf::WorkerId>(t % 2);
     return std::nullopt;
   };
-  const auto phases = hybrid::partition(flow, pm, 2);
+  const auto phases = hybrid::partition(flow.num_tasks(), pm, 2);
   ASSERT_EQ(phases.size(), 3u);
   EXPECT_EQ(phases[0].kind, Phase::Kind::kDynamic);
   EXPECT_EQ(phases[0].first, 0u);
@@ -43,7 +45,8 @@ TEST(Partition, AllMappedIsOneStaticPhase) {
   stf::TaskFlow flow;
   for (int i = 0; i < 5; ++i) flow.add_virtual(1, {});
   const auto phases = hybrid::partition(
-      flow, [](stf::TaskId) { return std::optional<stf::WorkerId>(0); }, 1);
+      flow.num_tasks(),
+      [](stf::TaskId) { return std::optional<stf::WorkerId>(0); }, 1);
   ASSERT_EQ(phases.size(), 1u);
   EXPECT_EQ(phases[0].kind, Phase::Kind::kStatic);
   EXPECT_EQ(phases[0].count, 5u);
@@ -52,7 +55,7 @@ TEST(Partition, AllMappedIsOneStaticPhase) {
 TEST(Partition, EmptyFlowHasNoPhases) {
   stf::TaskFlow flow;
   const auto phases = hybrid::partition(
-      flow, [](stf::TaskId) { return std::nullopt; }, 2);
+      flow.num_tasks(), [](stf::TaskId) { return std::nullopt; }, 2);
   EXPECT_TRUE(phases.empty());
 }
 
@@ -79,12 +82,13 @@ TEST(Hybrid, MixedPhasesPreserveSequentialSemantics) {
       stf::DataHandle<std::uint64_t>{0});
 
   auto flow = build();
-  hybrid::Runtime rt(hybrid::Config{.num_workers = 3, .enable_guard = true});
-  rt.run(flow, [](stf::TaskId t) -> std::optional<stf::WorkerId> {
-    // Alternate segments of 3: mapped, unmapped, mapped, unmapped.
-    if ((t / 3) % 2 == 0) return static_cast<stf::WorkerId>(t % 3);
-    return std::nullopt;
-  });
+  hybrid::Runtime rt(engine::Launch{.workers = 3, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(flow),
+         [](stf::TaskId t) -> std::optional<stf::WorkerId> {
+           // Alternate segments of 3: mapped, unmapped, mapped, unmapped.
+           if ((t / 3) % 2 == 0) return static_cast<stf::WorkerId>(t % 3);
+           return std::nullopt;
+         });
   EXPECT_EQ(rt.last_phase_count(), 4u);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 stf::DataHandle<std::uint64_t>{0}),
@@ -130,11 +134,13 @@ TEST(Hybrid, RandomGraphMatchesOracleAcrossPhaseShapes) {
 
     auto flow = make();
     hybrid::Runtime rt(
-        hybrid::Config{.num_workers = 3, .enable_guard = true});
-    rt.run(flow, [segment](stf::TaskId t) -> std::optional<stf::WorkerId> {
-      if ((t / segment) % 2 == 0) return static_cast<stf::WorkerId>(t % 3);
-      return std::nullopt;
-    });
+        engine::Launch{.workers = 3, .enable_guard = true});
+    rt.run(stf::FlowImage::compile(flow),
+           [segment](stf::TaskId t) -> std::optional<stf::WorkerId> {
+             if ((t / segment) % 2 == 0)
+               return static_cast<stf::WorkerId>(t % 3);
+             return std::nullopt;
+           });
 
     for (stf::DataId d = 0; d < flow.num_data(); ++d)
       EXPECT_EQ(std::memcmp(flow.registry().raw(d), seq_flow.registry().raw(d),
@@ -149,12 +155,13 @@ TEST(Hybrid, StatsAggregateAcrossPhases) {
   spec.num_tasks = 90;
   spec.task_cost = 2000;
   auto wl = workloads::make_independent(spec);
-  hybrid::Runtime rt(hybrid::Config{.num_workers = 2});
+  hybrid::Runtime rt(engine::Launch{.workers = 2});
   const auto stats =
-      rt.run(wl.flow, [](stf::TaskId t) -> std::optional<stf::WorkerId> {
-        if (t < 30) return static_cast<stf::WorkerId>(t % 2);  // static
-        return std::nullopt;                                   // dynamic
-      });
+      rt.run(stf::FlowImage::compile(wl.flow),
+             [](stf::TaskId t) -> std::optional<stf::WorkerId> {
+               if (t < 30) return static_cast<stf::WorkerId>(t % 2);  // static
+               return std::nullopt;  // dynamic
+             });
   EXPECT_EQ(rt.last_phase_count(), 2u);
   EXPECT_EQ(stats.tasks_executed(), 90u);
   ASSERT_EQ(stats.workers.size(), 3u);  // 2 workers + dynamic master slot
@@ -217,8 +224,8 @@ TEST_P(HplEngines, HybridMatchesSequential) {
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   hybrid::Runtime rt(
-      hybrid::Config{.num_workers = workers, .enable_guard = true});
-  rt.run(hpl.workload.flow, hpl.partial_mapping());
+      engine::Launch{.workers = workers, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(hpl.workload.flow), hpl.partial_mapping());
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0) << "hybrid diverged from sequential";
   EXPECT_EQ(*seq.perm, *hpl.perm);
@@ -239,8 +246,8 @@ TEST_P(HplEngines, PureRioWithFullMappingMatches) {
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   rt::Runtime runtime(
-      rt::Config{.num_workers = workers, .enable_guard = true});
-  runtime.run(hpl.workload.flow, hpl.full_mapping());
+      engine::Launch{.workers = workers, .enable_guard = true});
+  runtime.run(stf::FlowImage::compile(hpl.workload.flow), hpl.full_mapping());
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
   EXPECT_EQ(*seq.perm, *hpl.perm);
@@ -257,8 +264,8 @@ TEST_P(HplEngines, CentralizedOooMatches) {
 
   auto hpl = workloads::make_hpl_lu(a2, workers);
   coor::Runtime runtime(
-      coor::Config{.num_workers = workers, .enable_guard = true});
-  runtime.run(hpl.workload.flow);
+      engine::Launch{.workers = workers, .enable_guard = true});
+  runtime.run(stf::FlowImage::compile(hpl.workload.flow));
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }

@@ -64,10 +64,11 @@ TEST(FlowRange, RioRunsSubRange) {
   for (int i = 0; i < 8; ++i)
     flow.add("inc", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  rt::Runtime runtime(rt::Config{.num_workers = 2});
-  runtime.run(stf::FlowRange(flow, 0, 5), rt::mapping::round_robin(2));
+  const auto image = stf::FlowImage::compile(flow);
+  rt::Runtime runtime(engine::Launch{.workers = 2});
+  runtime.run(stf::ImageRange(image, 0, 5), rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 5u);
-  runtime.run(stf::FlowRange(flow, 5, 3), rt::mapping::round_robin(2));
+  runtime.run(stf::ImageRange(image, 5, 3), rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 8u);
 }
 
@@ -80,12 +81,12 @@ stf::TaskFlow traced_flow(rt::Runtime& runtime, std::uint32_t workers) {
     flow.add("chain_" + std::to_string(i),
              [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  runtime.run(flow, rt::mapping::round_robin(workers));
+  runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(workers));
   return flow;
 }
 
 TEST(TraceExport, ChromeJsonIsWellFormedIsh) {
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
   auto flow = traced_flow(runtime, 2);
   std::ostringstream os;
   stf::export_chrome_trace(runtime.trace(), flow, os);
@@ -109,8 +110,8 @@ TEST(TraceExport, ChromeJsonIsWellFormedIsh) {
 TEST(TraceExport, JsonEscapesSpecialCharacters) {
   stf::TaskFlow flow;
   flow.add("quote\"back\\slash", [](stf::TaskContext&) {}, {});
-  rt::Runtime runtime(rt::Config{.num_workers = 1, .collect_trace = true});
-  runtime.run(flow, rt::mapping::single());
+  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
+  runtime.run(stf::FlowImage::compile(flow), rt::mapping::single());
   std::ostringstream os;
   stf::export_chrome_trace(runtime.trace(), flow, os);
   EXPECT_NE(os.str().find("quote\\\"back\\\\slash"), std::string::npos);
@@ -122,8 +123,8 @@ TEST(TraceExport, JsonEscapesControlCharacters) {
   stf::TaskFlow flow;
   flow.add(std::string("tab\there\x01raw\nline"), [](stf::TaskContext&) {},
            {});
-  rt::Runtime runtime(rt::Config{.num_workers = 1, .collect_trace = true});
-  runtime.run(flow, rt::mapping::single());
+  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
+  runtime.run(stf::FlowImage::compile(flow), rt::mapping::single());
   std::ostringstream os;
   stf::export_chrome_trace(runtime.trace(), flow, os);
   const std::string json = os.str();
@@ -139,8 +140,8 @@ TEST(TraceExport, CsvQuotesNamesWithDelimiters) {
   stf::TaskFlow flow;
   flow.add("gemm(1,2)", [](stf::TaskContext&) {}, {});
   flow.add("say \"hi\"", [](stf::TaskContext&) {}, {});
-  rt::Runtime runtime(rt::Config{.num_workers = 1, .collect_trace = true});
-  runtime.run(flow, rt::mapping::single());
+  rt::Runtime runtime(engine::Launch{.workers = 1, .collect_trace = true});
+  runtime.run(stf::FlowImage::compile(flow), rt::mapping::single());
   std::ostringstream os;
   stf::export_csv(runtime.trace(), flow, os);
   const std::string csv = os.str();
@@ -161,7 +162,7 @@ TEST(TraceExport, CsvQuotesNamesWithDelimiters) {
 }
 
 TEST(TraceExport, CsvHasHeaderAndAllRows) {
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
   auto flow = traced_flow(runtime, 2);
   std::ostringstream os;
   stf::export_csv(runtime.trace(), flow, os);
@@ -173,7 +174,7 @@ TEST(TraceExport, CsvHasHeaderAndAllRows) {
 }
 
 TEST(TraceExport, UtilizationSumsTasks) {
-  rt::Runtime runtime(rt::Config{.num_workers = 3, .collect_trace = true});
+  rt::Runtime runtime(engine::Launch{.workers = 3, .collect_trace = true});
   auto flow = traced_flow(runtime, 3);
   const auto util = stf::summarize_utilization(runtime.trace());
   ASSERT_EQ(util.size(), 3u);
@@ -200,8 +201,8 @@ TEST(TraceExport, CoorTraceExportsToo) {
   stf::TaskFlow flow;
   for (int i = 0; i < 10; ++i)
     flow.add("t" + std::to_string(i), [](stf::TaskContext&) {}, {});
-  coor::Runtime runtime(coor::Config{.num_workers = 2, .collect_trace = true});
-  runtime.run(flow);
+  coor::Runtime runtime(engine::Launch{.workers = 2, .collect_trace = true});
+  runtime.run(stf::FlowImage::compile(flow));
   std::ostringstream os;
   stf::export_chrome_trace(runtime.trace(), flow, os);
   EXPECT_NE(os.str().find("t9"), std::string::npos);
@@ -277,8 +278,8 @@ TEST(SimHybrid, HplMixedFlowBeatsCentralizedAtFineGranularity) {
   dp.workers = 16;
   sim::CentralizedParams cp;
   cp.workers = 16;
-  const auto phases =
-      hybrid::partition(hpl.workload.flow, hpl.partial_mapping(), 16);
+  const auto phases = hybrid::partition(hpl.workload.flow.num_tasks(),
+                                        hpl.partial_mapping(), 16);
   const auto hyb = sim::simulate_hybrid(hpl.workload.flow, phases, dp, cp);
   const auto coor = sim::simulate_centralized(hpl.workload.flow, cp);
   EXPECT_LT(hyb.makespan, coor.makespan);
@@ -295,15 +296,15 @@ TEST(CrossEngine, AllEnginesProduceValidTracesOnLu) {
   auto wl = workloads::make_lu_dag(spec);
   stf::DependencyGraph graph(wl.flow);
 
-  rt::Runtime rio_rt(rt::Config{.num_workers = 3, .collect_trace = true,
-                                .enable_guard = true});
-  rio_rt.run(wl.flow, wl.mapping(3));
+  rt::Runtime rio_rt(engine::Launch{.workers = 3, .collect_trace = true,
+                                    .enable_guard = true});
+  rio_rt.run(stf::FlowImage::compile(wl.flow), wl.mapping(3));
   auto r1 = rio_rt.trace().validate(wl.flow, graph, true);
   EXPECT_TRUE(r1.ok()) << r1.reason;
 
-  coor::Runtime coor_rt(coor::Config{.num_workers = 3, .collect_trace = true,
-                                     .enable_guard = true});
-  coor_rt.run(wl.flow);
+  coor::Runtime coor_rt(engine::Launch{.workers = 3, .collect_trace = true,
+                                       .enable_guard = true});
+  coor_rt.run(stf::FlowImage::compile(wl.flow));
   auto r2 = coor_rt.trace().validate(wl.flow, graph, false);
   EXPECT_TRUE(r2.ok()) << r2.reason;
 }

@@ -126,10 +126,10 @@ TEST(ObsRing, EngineDropsAreReportedNotLost) {
   // report exactly how many events did not fit.
   auto wl = cholesky(5, 2);
   obs::Hub hub(obs::HubOptions{.recorder = true, .ring_capacity = 8});
-  rt::Runtime eng(rt::Config{.num_workers = 2,
-                             .collect_stats = false,
-                             .obs = &hub});
-  eng.run(wl.flow, wl.mapping(2));
+  rt::Runtime eng(engine::Launch{.workers = 2,
+                                 .collect_stats = false,
+                                 .obs = &hub});
+  eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(2));
   EXPECT_GT(hub.dropped(), 0u);
   EXPECT_LE(hub.recorded(), 2u * 8u);
   EXPECT_EQ(hub.drain_events().size(), hub.recorded());
@@ -181,8 +181,8 @@ TEST(ObsDisabled, CountersOnlyHubHasNoRecorder) {
 TEST(ObsDisabled, NullHubRunLeavesNothingBehind) {
   // Engines run with cfg.obs == nullptr: a separate hub stays all-zero.
   auto wl = cholesky(3, 2);
-  rt::Runtime eng(rt::Config{.num_workers = 2});
-  eng.run(wl.flow, wl.mapping(2));
+  rt::Runtime eng(engine::Launch{.workers = 2});
+  eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(2));
   obs::Hub hub;
   const obs::CounterSnapshot snap = hub.counter_snapshot();
   for (std::size_t c = 0; c < obs::kNumCounters; ++c)
@@ -196,11 +196,11 @@ TEST(ObsReconcile, RioTraceRingAndBucketsAgreeExactly) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .collect_trace = true,
-                             .obs = &hub});
-  const auto stats = eng.run(wl.flow, wl.mapping(p));
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .collect_trace = true,
+                                 .obs = &hub});
+  const auto stats = eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(p));
 
   // The trace's busy time and the ring's kBody spans record the SAME two
   // clock reads per task: equality is exact, not approximate.
@@ -227,12 +227,12 @@ TEST(ObsReconcile, PrunedRioAgreesToo) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::PrunedPlan plan(wl.flow, wl.mapping(p), p);
-  rt::PrunedRuntime eng(rt::Config{.num_workers = p,
-                                   .collect_stats = true,
-                                   .collect_trace = true,
-                                   .obs = &hub});
-  const auto stats = eng.run(wl.flow, plan);
+  rt::PrunedPlan plan(stf::FlowImage::compile(wl.flow), wl.mapping(p), p);
+  rt::PrunedRuntime eng(engine::Launch{.workers = p,
+                                       .collect_stats = true,
+                                       .collect_trace = true,
+                                       .obs = &hub});
+  const auto stats = eng.run(stf::FlowImage::compile(wl.flow), plan);
   const auto busy = trace_busy(eng.trace(), p);
   const auto body = ring_body(hub);
   for (std::uint32_t w = 0; w < p; ++w) {
@@ -248,11 +248,11 @@ TEST(ObsReconcile, CoorWorkersAndMasterAgree) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  coor::Runtime eng(coor::Config{.num_workers = p,
-                                 .collect_stats = true,
-                                 .collect_trace = true,
-                                 .obs = &hub});
-  const auto stats = eng.run(wl.flow);
+  coor::Runtime eng(engine::Launch{.workers = p,
+                                   .collect_stats = true,
+                                   .collect_trace = true,
+                                   .obs = &hub});
+  const auto stats = eng.run(stf::FlowImage::compile(wl.flow));
   ASSERT_EQ(hub.num_workers(), p + 1);
   const auto busy = trace_busy(eng.trace(), p);
   const auto body = ring_body(hub);
@@ -277,11 +277,12 @@ TEST(ObsReconcile, HybridAccumulatesAcrossPhases) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  hybrid::Runtime eng(hybrid::Config{.num_workers = p,
+  hybrid::Runtime eng(engine::Launch{.workers = p,
                                      .collect_stats = true,
                                      .obs = &hub});
   const auto stats = eng.run(
-      wl.flow, [p](stf::TaskId t) -> std::optional<stf::WorkerId> {
+      stf::FlowImage::compile(wl.flow),
+      [p](stf::TaskId t) -> std::optional<stf::WorkerId> {
         if ((t / 4) % 2 == 0) return static_cast<stf::WorkerId>(t % p);
         return std::nullopt;
       });
@@ -301,12 +302,12 @@ TEST(ObsReconcile, RetryCountersMatchInjector) {
   plan.throw_tasks = {3, 7};
   support::FaultInjector injector(plan);
   obs::Hub hub;
-  rt::Runtime eng(rt::Config{.num_workers = 2,
-                             .collect_stats = false,
-                             .retry = {.max_attempts = 3},
-                             .fault = &injector,
-                             .obs = &hub});
-  eng.run(wl.flow, wl.mapping(2));
+  rt::Runtime eng(engine::Launch{.workers = 2,
+                                 .collect_stats = false,
+                                 .retry = {.max_attempts = 3},
+                                 .fault = &injector,
+                                 .obs = &hub});
+  eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(2));
   const obs::CounterSnapshot snap = hub.counter_snapshot();
   EXPECT_EQ(snap.total(obs::Counter::kFaultsInjected),
             injector.injected_throws());
@@ -393,10 +394,10 @@ TEST(ObsSim, CentralizedMasterSlotMatches) {
 TEST(ObsExport, PerfettoTraceIsStructurallySound) {
   auto wl = cholesky(4, 2);
   obs::Hub hub(obs::HubOptions{.recorder = true});
-  rt::Runtime eng(rt::Config{.num_workers = 2,
-                             .collect_stats = true,
-                             .obs = &hub});
-  eng.run(wl.flow, wl.mapping(2));
+  rt::Runtime eng(engine::Launch{.workers = 2,
+                                 .collect_stats = true,
+                                 .obs = &hub});
+  eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(2));
   std::ostringstream os;
   obs::write_perfetto_trace(hub, os);
   const std::string json = os.str();
@@ -417,10 +418,10 @@ TEST(ObsExport, ObsJsonRoundTripsDecompositionBitForBit) {
   const std::uint32_t p = 2;
   auto wl = cholesky(4, p);
   obs::Hub hub;
-  rt::Runtime eng(rt::Config{.num_workers = p,
-                             .collect_stats = true,
-                             .obs = &hub});
-  const auto stats = eng.run(wl.flow, wl.mapping(p));
+  rt::Runtime eng(engine::Launch{.workers = p,
+                                 .collect_stats = true,
+                                 .obs = &hub});
+  const auto stats = eng.run(stf::FlowImage::compile(wl.flow), wl.mapping(p));
   const auto e = metrics::decompose_synthetic(stats.cumulative());
 
   obs::ObsJsonMeta meta;

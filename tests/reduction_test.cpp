@@ -136,9 +136,9 @@ class ReductionCoor : public ::testing::TestWithParam<coor::SchedulerKind> {};
 
 TEST_P(ReductionCoor, HistogramMatchesAndTraceValidates) {
   auto flow = histogram_flow(200, 4);
-  coor::Runtime rt(coor::Config{.num_workers = 4, .scheduler = GetParam(),
-                                .collect_trace = true, .enable_guard = true});
-  rt.run(flow);
+  coor::Runtime rt(engine::Launch{.workers = 4, .scheduler = GetParam(),
+                                  .collect_trace = true, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(flow));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{4}),
             expected_total(200));
@@ -157,9 +157,9 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, ReductionCoor,
 
 TEST(ReductionEngines, RioExecutesReductionsInOrder) {
   auto flow = histogram_flow(120, 3);
-  rt::Runtime rt(rt::Config{.num_workers = 3, .collect_trace = true,
-                            .enable_guard = true});
-  rt.run(flow, rt::mapping::round_robin(3));
+  rt::Runtime rt(engine::Launch{.workers = 3, .collect_trace = true,
+                                .enable_guard = true});
+  rt.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(3));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{3}),
             expected_total(120));
@@ -171,9 +171,9 @@ TEST(ReductionEngines, RioExecutesReductionsInOrder) {
 TEST(ReductionEngines, PrunedRioMatches) {
   auto flow = histogram_flow(90, 2);
   const auto mapping = rt::mapping::round_robin(2);
-  rt::PrunedPlan plan(flow, mapping, 2);
-  rt::PrunedRuntime prt(rt::Config{.num_workers = 2});
-  prt.run(flow, plan);
+  rt::PrunedPlan plan(stf::FlowImage::compile(flow), mapping, 2);
+  rt::PrunedRuntime prt(engine::Launch{.workers = 2});
+  prt.run(stf::FlowImage::compile(flow), plan);
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(
                 DataHandle<std::uint64_t>{2}),
             expected_total(90));

@@ -17,7 +17,6 @@
 namespace {
 
 using namespace rio;
-using rio::rt::Config;
 using rio::rt::Mapping;
 using rio::rt::Runtime;
 using rio::support::WaitPolicy;
@@ -72,8 +71,9 @@ TEST(Runtime, ExecutesEveryTaskExactlyOnce) {
   std::atomic<int> hits{0};
   for (int i = 0; i < 100; ++i)
     flow.add("t", [&hits](stf::TaskContext&) { hits.fetch_add(1); }, {});
-  Runtime rt(Config{.num_workers = 4});
-  auto stats = rt.run(flow, rt::mapping::round_robin(4));
+  Runtime rt(engine::Launch{.workers = 4});
+  auto stats =
+      rt.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(4));
   EXPECT_EQ(hits.load(), 100);
   EXPECT_EQ(stats.tasks_executed(), 100u);
   // Everyone else declared the rest: (p-1) skips per task.
@@ -89,8 +89,8 @@ TEST(Runtime, SingleWorkerDegeneratesToSequential) {
     flow.add("step",
              [d, i](stf::TaskContext& ctx) { ctx.scalar(d) = ctx.scalar(d) * 10 + i; },
              {stf::readwrite(d)});
-  Runtime rt(Config{.num_workers = 1});
-  rt.run(flow, rt::mapping::single());
+  Runtime rt(engine::Launch{.workers = 1});
+  rt.run(stf::FlowImage::compile(flow), rt::mapping::single());
   EXPECT_EQ(flow.registry().typed<int>(d)[0], 12345);
 }
 
@@ -104,8 +104,8 @@ TEST(Runtime, ChainAcrossWorkersRespectsOrder) {
     flow.add("link",
              [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  Runtime rt(Config{.num_workers = 2, .enable_guard = true});
-  rt.run(flow, rt::mapping::round_robin(2));
+  Runtime rt(engine::Launch{.workers = 2, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
   EXPECT_EQ(flow.registry().typed<std::uint64_t>(d)[0],
             static_cast<std::uint64_t>(kLinks));
 }
@@ -125,8 +125,8 @@ TEST(Runtime, FanOutReadersAllSeeTheWrite) {
              {stf::read(src), stf::readwrite(sums)});
   // NOTE: all consumers also RW the sums buffer, serializing them — the
   // point here is the producer/consumer write visibility.
-  Runtime rt(Config{.num_workers = 3, .enable_guard = true});
-  rt.run(flow, rt::mapping::round_robin(3));
+  Runtime rt(engine::Launch{.workers = 3, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(3));
   const auto* s = flow.registry().typed<std::uint64_t>(sums);
   for (int r = 0; r < 8; ++r) EXPECT_EQ(s[r], 42u);
 }
@@ -146,8 +146,8 @@ TEST(Runtime, WriteWaitsForAllReaders) {
              {stf::read(d), stf::readwrite(out)});
   flow.add("w1", [d](stf::TaskContext& ctx) { ctx.scalar(d) = 9; },
            {stf::write(d)});
-  Runtime rt(Config{.num_workers = 4, .enable_guard = true});
-  rt.run(flow, rt::mapping::round_robin(4));
+  Runtime rt(engine::Launch{.workers = 4, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(4));
   const int* o = flow.registry().typed<int>(out);
   for (int r = 0; r < 3; ++r) EXPECT_EQ(o[r], 7);  // readers saw w0, not w1
   EXPECT_EQ(flow.registry().typed<int>(d)[0], 9);
@@ -163,11 +163,11 @@ void check_against_oracle(stf::TaskFlow& parallel_flow,
                           const Mapping& mapping) {
   stf::SequentialExecutor{}.run(sequential_flow);
 
-  Runtime rt(Config{.num_workers = workers,
-                    .wait_policy = policy,
-                    .collect_trace = true,
-                    .enable_guard = true});
-  rt.run(parallel_flow, mapping);
+  Runtime rt(engine::Launch{.workers = workers,
+                            .wait_policy = policy,
+                            .collect_trace = true,
+                            .enable_guard = true});
+  rt.run(stf::FlowImage::compile(parallel_flow), mapping);
 
   stf::DependencyGraph graph(parallel_flow);
   const auto validation = rt.trace().validate(parallel_flow, graph, true);
@@ -272,8 +272,8 @@ TEST(RioNumeric, TiledGemmMatchesSequential) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_gemm_numeric(a2, b2, c2, workers);
-  Runtime rt(Config{.num_workers = workers, .enable_guard = true});
-  rt.run(wl_par.flow, wl_par.mapping(workers));
+  Runtime rt(engine::Launch{.workers = workers, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(wl_par.flow), wl_par.mapping(workers));
 
   EXPECT_EQ(c1.max_abs_diff(c2), 0.0);
 }
@@ -288,8 +288,8 @@ TEST(RioNumeric, TiledLuMatchesSequential) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_lu_numeric(a2, workers);
-  Runtime rt(Config{.num_workers = workers, .enable_guard = true});
-  rt.run(wl_par.flow, wl_par.mapping(workers));
+  Runtime rt(engine::Launch{.workers = workers, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(wl_par.flow), wl_par.mapping(workers));
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }
@@ -306,8 +306,8 @@ TEST(RioNumeric, TiledCholeskyMatchesSequential) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_cholesky_numeric(a2, workers);
-  Runtime rt(Config{.num_workers = workers, .enable_guard = true});
-  rt.run(wl_par.flow, wl_par.mapping(workers));
+  Runtime rt(engine::Launch{.workers = workers, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(wl_par.flow), wl_par.mapping(workers));
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }
@@ -324,8 +324,8 @@ TEST(RioNumeric, StencilMatchesSequential) {
 
   auto wl_par =
       workloads::make_stencil_numeric(chunks, len, steps, a2, b2, workers);
-  Runtime rt(Config{.num_workers = workers, .enable_guard = true});
-  rt.run(wl_par.flow, wl_par.mapping(workers));
+  Runtime rt(engine::Launch{.workers = workers, .enable_guard = true});
+  rt.run(stf::FlowImage::compile(wl_par.flow), wl_par.mapping(workers));
 
   for (std::size_t i = 0; i < a1.size(); ++i) {
     EXPECT_EQ(a1[i], a2[i]) << "buffer A diverged at " << i;
@@ -368,15 +368,15 @@ TEST(RunProgram, StreamingMatchesMaterialized) {
   std::vector<stf::DataHandle<std::uint64_t>> data_a;
   make_data(flow, data_a);
   program(data_a)(flow);
-  Runtime rt_a(Config{.num_workers = workers, .enable_guard = true});
-  rt_a.run(flow, rt::mapping::round_robin(workers));
+  Runtime rt_a(engine::Launch{.workers = workers, .enable_guard = true});
+  rt_a.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(workers));
 
   // (b) streaming over a standalone registry
   stf::DataRegistry registry;
   std::vector<stf::DataHandle<std::uint64_t>> data_b;
   for (int d = 0; d < 5; ++d)
     data_b.push_back(registry.create<std::uint64_t>("d" + std::to_string(d)));
-  Runtime rt_b(Config{.num_workers = workers, .enable_guard = true});
+  Runtime rt_b(engine::Launch{.workers = workers, .enable_guard = true});
   rt_b.run_program(registry, program(data_b), rt::mapping::round_robin(workers));
 
   for (int d = 0; d < 5; ++d) {
@@ -395,7 +395,7 @@ TEST(Pruning, PlanPartitionsAllTasks) {
   spec.body = workloads::BodyKind::kNone;
   spec.num_workers = 3;
   auto wl = workloads::make_lu_dag(spec);
-  rt::PrunedPlan plan(wl.flow, wl.mapping(3), 3);
+  rt::PrunedPlan plan(stf::FlowImage::compile(wl.flow), wl.mapping(3), 3);
   EXPECT_EQ(plan.total_tasks(), wl.flow.num_tasks());
   std::size_t sum = 0;
   for (std::uint32_t w = 0; w < 3; ++w) sum += plan.tasks_for(w).size();
@@ -410,7 +410,7 @@ TEST(Pruning, ExpectationsMatchDependencyAnalysis) {
   flow.add("r1", {}, {stf::read(d)});
   flow.add("r2", {}, {stf::read(d)});
   flow.add("w3", {}, {stf::write(d)});
-  rt::PrunedPlan plan(flow, rt::mapping::single(), 1);
+  rt::PrunedPlan plan(stf::FlowImage::compile(flow), rt::mapping::single(), 1);
   const auto& tasks = plan.tasks_for(0);
   ASSERT_EQ(tasks.size(), 4u);
   EXPECT_EQ(tasks[0].accesses[0].expected_writer, rt::kNoWrite);
@@ -426,9 +426,10 @@ TEST(Pruning, PrunedExecutionMatchesOracle) {
   auto sequential = make_order_sensitive_random(99, workers);
   stf::SequentialExecutor{}.run(sequential.flow);
 
-  rt::PrunedPlan plan(parallel.flow, parallel.mapping(workers), workers);
-  rt::PrunedRuntime prt(Config{.num_workers = workers});
-  auto stats = prt.run(parallel.flow, plan);
+  rt::PrunedPlan plan(stf::FlowImage::compile(parallel.flow),
+                      parallel.mapping(workers), workers);
+  rt::PrunedRuntime prt(engine::Launch{.workers = workers});
+  auto stats = prt.run(stf::FlowImage::compile(parallel.flow), plan);
   EXPECT_EQ(stats.tasks_executed(), parallel.flow.num_tasks());
 
   const auto& pr = parallel.flow.registry();
@@ -448,9 +449,10 @@ TEST(Pruning, NumericLuThroughPrunedRuntime) {
   stf::SequentialExecutor{}.run(wl_seq.flow);
 
   auto wl_par = workloads::make_lu_numeric(a2, workers);
-  rt::PrunedPlan plan(wl_par.flow, wl_par.mapping(workers), workers);
-  rt::PrunedRuntime prt(Config{.num_workers = workers});
-  prt.run(wl_par.flow, plan);
+  rt::PrunedPlan plan(stf::FlowImage::compile(wl_par.flow),
+                      wl_par.mapping(workers), workers);
+  rt::PrunedRuntime prt(engine::Launch{.workers = workers});
+  prt.run(stf::FlowImage::compile(wl_par.flow), plan);
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
 }
@@ -463,8 +465,8 @@ TEST(Stats, BucketsRoughlyCoverWallTime) {
   spec.task_cost = 20000;
   spec.num_workers = 2;
   auto wl = workloads::make_independent(spec);
-  Runtime rt(Config{.num_workers = 2});
-  auto stats = rt.run(wl.flow, wl.mapping(2));
+  Runtime rt(engine::Launch{.workers = 2});
+  auto stats = rt.run(stf::FlowImage::compile(wl.flow), wl.mapping(2));
   const auto cum = stats.cumulative();
   EXPECT_GT(cum.task_ns, 0u);
   // tau_p == p * t_p within generous tolerance (oversubscribed host).
@@ -479,8 +481,9 @@ TEST(Stats, WaitsCountedOnDependencyStalls) {
   for (int i = 0; i < 32; ++i)
     flow.add("c", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 1; },
              {stf::readwrite(d)});
-  Runtime rt(Config{.num_workers = 2});
-  auto stats = rt.run(flow, rt::mapping::round_robin(2));
+  Runtime rt(engine::Launch{.workers = 2});
+  auto stats =
+      rt.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
   std::uint64_t waits = 0;
   for (auto& w : stats.workers) waits += w.waits;
   EXPECT_GT(waits, 0u);

@@ -8,6 +8,7 @@
 #include "coor/coor.hpp"
 #include "hybrid/hybrid.hpp"
 #include "rio/rio.hpp"
+#include "stf/sequential.hpp"
 #include "support/thread_pool.hpp"
 #include "workloads/workloads.hpp"
 
@@ -75,21 +76,21 @@ TEST(PooledEngines, RioPooledMatchesSpawned) {
     return flow;
   };
   auto f1 = make();
-  rt::Runtime spawned(rt::Config{.num_workers = 3});
-  spawned.run(f1, rt::mapping::round_robin(3));
+  rt::Runtime spawned(engine::Launch{.workers = 3});
+  spawned.run(stf::FlowImage::compile(f1), rt::mapping::round_robin(3));
 
   auto f2 = make();
   ThreadPool pool(3);
-  rt::Runtime pooled(rt::Config{.num_workers = 3});
+  rt::Runtime pooled(engine::Launch{.workers = 3});
   pooled.attach_pool(&pool);
   for (int rep = 0; rep < 3; ++rep) {  // repeated runs on one pool
     auto f = make();
-    pooled.run(f, rt::mapping::round_robin(3));
+    pooled.run(stf::FlowImage::compile(f), rt::mapping::round_robin(3));
     EXPECT_EQ(*f.registry().typed<std::uint64_t>(
                   stf::DataHandle<std::uint64_t>{0}),
               150u);
   }
-  pooled.run(f2, rt::mapping::round_robin(3));
+  pooled.run(stf::FlowImage::compile(f2), rt::mapping::round_robin(3));
   EXPECT_EQ(*f1.registry().typed<std::uint64_t>(
                 stf::DataHandle<std::uint64_t>{0}),
             *f2.registry().typed<std::uint64_t>(
@@ -103,15 +104,17 @@ TEST(PooledEngines, CoorPooledExecutesAll) {
   spec.task_cost = 50;
   auto wl = workloads::make_lu_dag(spec);
   ThreadPool pool(4);  // 3 workers + master
-  coor::Runtime rt(coor::Config{.num_workers = 3, .enable_guard = true});
+  coor::Runtime rt(engine::Launch{.workers = 3, .enable_guard = true});
   rt.attach_pool(&pool);
   for (int rep = 0; rep < 3; ++rep) {
-    const auto stats = rt.run(wl.flow);
+    const auto stats = rt.run(stf::FlowImage::compile(wl.flow));
     EXPECT_EQ(stats.tasks_executed(), wl.flow.num_tasks());
   }
 }
 
-TEST(PooledEngines, HybridWithAndWithoutPoolAgree) {
+TEST(PooledEngines, HybridPooledMatchesSequential) {
+  // Hybrid always runs its phases on one persistent workers+1 pool; the
+  // pooled phases must reproduce the sequential oracle bit for bit.
   auto make = [] {
     workloads::TiledMatrix a(3, 8);
     a.fill_random(44);
@@ -121,11 +124,9 @@ TEST(PooledEngines, HybridWithAndWithoutPoolAgree) {
   auto h1 = workloads::make_hpl_lu(a1, 2);
   auto h2 = workloads::make_hpl_lu(a2, 2);
 
-  hybrid::Runtime with_pool(hybrid::Config{.num_workers = 2, .use_pool = true});
-  with_pool.run(h1.workload.flow, h1.partial_mapping());
-
-  hybrid::Runtime no_pool(hybrid::Config{.num_workers = 2, .use_pool = false});
-  no_pool.run(h2.workload.flow, h2.partial_mapping());
+  hybrid::Runtime pooled(engine::Launch{.workers = 2});
+  pooled.run(stf::FlowImage::compile(h1.workload.flow), h1.partial_mapping());
+  stf::SequentialExecutor{}.run(h2.workload.flow);
 
   EXPECT_EQ(a1.max_abs_diff(a2), 0.0);
   EXPECT_EQ(*h1.perm, *h2.perm);

@@ -1,11 +1,17 @@
 // Tests for the tooling layers: topology/pinning, DOT export, flow
-// summaries, and the pinned-runtime code paths.
+// summaries, and the pinned-runtime code paths of every real engine.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
+#include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "coor/coor.hpp"
+#include "engine/registry.hpp"
 #include "rio/rio.hpp"
 #include "support/topology.hpp"
 #include "stf/stf.hpp"
@@ -45,8 +51,8 @@ TEST(PinnedRuntimes, RioWithPinningStillCorrect) {
   for (int i = 0; i < 40; ++i)
     flow.add("inc", [d](stf::TaskContext& ctx) { ctx.scalar(d) += 2; },
              {stf::readwrite(d)});
-  rt::Runtime runtime(rt::Config{.num_workers = 2, .pin_workers = true});
-  runtime.run(flow, rt::mapping::round_robin(2));
+  rt::Runtime runtime(engine::Launch{.workers = 2, .pin_workers = true});
+  runtime.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
   EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 80u);
 }
 
@@ -56,9 +62,56 @@ TEST(PinnedRuntimes, CoorWithPinningStillCorrect) {
   spec.col_tiles = 3;
   spec.task_cost = 10;
   auto wl = workloads::make_lu_dag(spec);
-  coor::Runtime runtime(coor::Config{.num_workers = 2, .pin_workers = true});
-  const auto stats = runtime.run(wl.flow);
+  coor::Runtime runtime(engine::Launch{.workers = 2, .pin_workers = true});
+  const auto stats = runtime.run(stf::FlowImage::compile(wl.flow));
   EXPECT_EQ(stats.tasks_executed(), wl.flow.num_tasks());
+}
+
+TEST(PinnedRuntimes, EveryRealEngineHonoursPinning) {
+  // Registry matrix: with Launch::pin_workers every task body must run on
+  // a thread whose affinity mask holds exactly one CPU — on rio,
+  // rio-pruned, coor and both phase kinds of hybrid (its default partial
+  // mapping alternates 16-task static and dynamic phases).
+  constexpr std::uint32_t kWorkers = 2;
+  const std::uint32_t cpus = support::detect_topology().logical_cpus;
+  for (std::uint32_t t = 0; t <= kWorkers; ++t) {  // workers + coor master
+    bool pinned = false;
+    std::thread probe([&] { pinned = support::pin_current_thread(t % cpus); });
+    probe.join();
+    if (!pinned) GTEST_SKIP() << "host refuses pthread_setaffinity_np";
+  }
+
+  for (const engine::Backend* backend : engine::Registry::instance().all()) {
+    const engine::Capabilities& caps = backend->caps();
+    // seq runs on the caller's thread: it has no workers to pin.
+    if (!caps.executes_bodies || backend->name() == "seq") continue;
+    SCOPED_TRACE(std::string(backend->name()));
+
+    std::atomic<int> unpinned{0};
+    stf::TaskFlow flow;
+    auto d = flow.create_data<std::uint64_t>("d");
+    for (int i = 0; i < 40; ++i)
+      flow.add("inc",
+               [d, &unpinned](stf::TaskContext& ctx) {
+                 cpu_set_t set;
+                 CPU_ZERO(&set);
+                 if (pthread_getaffinity_np(pthread_self(), sizeof(set),
+                                            &set) != 0 ||
+                     CPU_COUNT(&set) != 1)
+                   unpinned.fetch_add(1);
+                 ctx.scalar(d) += 2;
+               },
+               {stf::readwrite(d)});
+
+    engine::Launch launch;
+    launch.workers = kWorkers;
+    launch.pin_workers = true;
+    if (caps.needs_mapping) launch.mapping = rt::mapping::round_robin(kWorkers);
+    (void)backend->run(stf::FlowImage::compile(flow), launch);
+    EXPECT_EQ(unpinned.load(), 0);
+    EXPECT_EQ(*flow.registry().typed<std::uint64_t>(d), 80u);
+  }
+  EXPECT_TRUE(support::unpin_current_thread());
 }
 
 // ------------------------------------------------------------ DOT export ---

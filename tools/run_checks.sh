@@ -48,7 +48,12 @@
 #      (block-policy doorbells, coor --queue ring) under TSan — the retry
 #      / watchdog / abort / eviction machinery, the controlled scheduler
 #      and the new lock-free primitives are exactly the kind of code TSan
-#      earns its keep on.
+#      earns its keep on;
+#  15. AddressSanitizer + UndefinedBehaviorSanitizer pass (skipped with
+#      RIO_SKIP_ASAN=1): rebuilds with RIO_SANITIZE=address,undefined and
+#      runs the failure, fuzz, flowpass, coor, rio and hybrid suites — the
+#      worker harness's lifetimes (arenas, probes, watchdog lambdas, death
+#      records) under every engine.
 #
 # Usage: tools/run_checks.sh [build-dir]   (default: build)
 set -u
@@ -369,6 +374,27 @@ else
     done
   else
     fail "TSan build (set RIO_SKIP_TSAN=1 to skip)"
+  fi
+fi
+
+step "address + undefined sanitizers: engine, failure and fuzz suites"
+if [ "${RIO_SKIP_ASAN:-0}" = "1" ]; then
+  echo "RIO_SKIP_ASAN=1; skipping"
+else
+  ASAN_BUILD="$BUILD-asan"
+  ASAN_SUITES="failure_test fuzz_test flowpass_test coor_test rio_test hybrid_test"
+  # shellcheck disable=SC2086  # ASAN_SUITES is a word list on purpose
+  if cmake -B "$ASAN_BUILD" -S "$ROOT" -DRIO_SANITIZE=address,undefined \
+       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRIO_ENABLE_BENCH=OFF \
+       -DRIO_ENABLE_EXAMPLES=OFF >/dev/null &&
+     cmake --build "$ASAN_BUILD" -j "$(nproc)" --target $ASAN_SUITES \
+       >/dev/null; then
+    for t in $ASAN_SUITES; do
+      UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        "$ASAN_BUILD/tests/$t" >/dev/null || fail "$t under ASan+UBSan"
+    done
+  else
+    fail "ASan+UBSan build (set RIO_SKIP_ASAN=1 to skip)"
   fi
 fi
 
