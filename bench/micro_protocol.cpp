@@ -99,6 +99,7 @@ void run_section(const Sweep& s, const char* section,
 
   for (const std::uint32_t w : {1u, 2u, 4u}) {
     const rt::Mapping mapping = rt::mapping::round_robin(w);
+    const rt::PrunedPlan plan(image, mapping, w);
     for (const support::WaitPolicy policy :
          {support::WaitPolicy::kSpin, support::WaitPolicy::kSpinYield,
           support::WaitPolicy::kBlock}) {
@@ -106,8 +107,8 @@ void run_section(const Sweep& s, const char* section,
       // configuration; the counted run never contributes to wall_ms.
       // make_run constructs the engine eagerly (outside the stopwatch, as
       // micro_unroll does) and returns the per-rep run closure, so reps
-      // after the first measure steady state: cached pruned plan, recycled
-      // sync-word arenas.
+      // after the first measure steady state: recycled sync-word arenas
+      // (the pruned plan is compiled once per worker count, above).
       const auto measure = [&](const char* engine, auto&& make_run) {
         const double ms = bench::min_wall_ms(s.reps, make_run(nullptr));
         obs::Hub hub;
@@ -143,7 +144,7 @@ void run_section(const Sweep& s, const char* section,
       measure("rio-pruned", [&](obs::Hub* hub) {
         auto eng = std::make_shared<rt::PrunedRuntime>(launch(hub));
         eng->attach_pool(s.pool);
-        return [&, eng] { eng->run(image, mapping); };
+        return [&, eng] { eng->run(image, plan); };
       });
       if (s.with_coor) {
         const auto coor_run = [&](coor::QueueKind queue) {

@@ -113,13 +113,21 @@ class PrunedBackend final : public Backend {
   [[nodiscard]] Outcome run(const stf::FlowImage& image,
                             const Launch& launch) const override {
     validate(*this, launch);
+    bool compiled = false;
+    const auto plan =
+        plans_.get(image, launch.mapping, launch.workers, &compiled);
     rt::PrunedRuntime eng(launch);
-    Outcome out = base_outcome(eng.run(image, launch.mapping), caps());
+    Outcome out = base_outcome(eng.run(image, *plan), caps());
     out.trace = eng.trace();
     out.sync = eng.sync_trace();
-    out.plan_compiles = eng.plan_compiles();
+    out.plan_compiles = compiled ? 1 : 0;
     return out;
   }
+
+ private:
+  /// The registry session's plans: every caller of this backend shares
+  /// them, so repeated runs of one (image, mapping, workers) compile once.
+  mutable rt::PrunedPlanCache plans_;
 };
 
 class CoorBackend final : public Backend {

@@ -92,7 +92,9 @@ struct Outcome {
   std::size_t phases = 0;
   std::size_t completed_phases = 0;
 
-  // rio-pruned extra: plan-cache misses paid by this run.
+  // rio-pruned extra: plan compiles this call paid (0 when the backend's
+  // session cache already held the plan for this image, mapping and worker
+  // count).
   std::uint64_t plan_compiles = 0;
 
   // Recovery extras (filled by engine::run_supervised, or by simulators
@@ -115,9 +117,10 @@ class UnsupportedLaunch : public std::runtime_error {
                            "' cannot run this launch: " + detail) {}
 };
 
-/// A registered execution backend. Implementations are stateless facades:
-/// run() builds a fresh underlying runtime per call, so backends are safe to
-/// share and re-enter from different tests/commands.
+/// A registered execution backend. run() builds a fresh underlying runtime
+/// per call; what a backend keeps between calls is a thread-safe session
+/// cache (rio-pruned's compiled plans), so backends are safe to share and
+/// re-enter concurrently from different threads, tests and commands.
 class Backend {
  public:
   Backend() = default;

@@ -762,7 +762,8 @@ class Explorer {
     };
     std::vector<CoorNode> nodes;
     Word<std::uint64_t> completed;
-    std::shared_ptr<const rt::PrunedPlan> pruned;
+    std::optional<stf::FlowImage> pruned_image;  ///< the plan indexes it
+    std::optional<rt::PrunedPlan> pruned;
     // Per-worker doorbells: the rio engines' kBlock path parks on bells
     // (word_notify = false + release-boundary ring_doorbell), exactly as
     // the production RunArenas::reset gates it for unwatched block runs.
@@ -788,9 +789,10 @@ class Explorer {
         bells.resize(opts_.workers);
         for (auto& b : bells) b = {&ctl, ctl.new_word(0)};
       }
-      if (opts_.engine == EngineKind::kRioPruned)
-        pruned = std::make_shared<const rt::PrunedPlan>(
-            stf::FlowImage::compile(flow_), mapping_, opts_.workers);
+      if (opts_.engine == EngineKind::kRioPruned) {
+        pruned_image.emplace(stf::FlowImage::compile(flow_));
+        pruned.emplace(*pruned_image, mapping_, opts_.workers);
+      }
     } else {
       nodes.resize(n_tasks);
       for (auto& node : nodes) {
@@ -861,20 +863,24 @@ class Explorer {
           // PrunedRuntime::run loop minus telemetry (incl. its doorbell gate).
           Word<std::uint64_t>* bell = use_bells ? &bells[w] : nullptr;
           const bool word_notify = !use_bells;
-          for (const rt::PrunedTask& pt : pruned->tasks_for(w)) {
-            for (const rt::PrunedAccess& pa : pt.accesses)
-              rt::acquire_for(shared[pa.data], pa.expected_writer,
-                              pa.expected_reads, stf::is_write(pa.mode),
-                              policy, nullptr, nullptr, bell);
-            ctl.task_started(pt.id);
-            if (crash_mode_ && pt.id == crash_task_) return;  // worker dies
-            ctl.task_finished(pt.id);
-            for (const rt::PrunedAccess& pa : pt.accesses) {
-              if (stf::is_write(pa.mode))
-                rt::publish_write(shared[pa.data], pt.id, policy,
+          const stf::Access* acc = pruned_image->accesses();
+          for (const std::uint32_t i : pruned->tasks_for(w)) {
+            const stf::TaskId id = pruned_image->task_id(i);
+            const stf::FlowImage::Span s = pruned_image->spans()[i];
+            for (std::uint32_t k = s.begin; k != s.end; ++k)
+              rt::acquire_for(shared[acc[k].data], pruned->expected_writer(k),
+                              pruned->expected_reads(k),
+                              stf::is_write(acc[k].mode), policy, nullptr,
+                              nullptr, bell);
+            ctl.task_started(id);
+            if (crash_mode_ && id == crash_task_) return;  // worker dies
+            ctl.task_finished(id);
+            for (std::uint32_t k = s.begin; k != s.end; ++k) {
+              if (stf::is_write(acc[k].mode))
+                rt::publish_write(shared[acc[k].data], id, policy,
                                   word_notify);
               else
-                rt::publish_read(shared[pa.data], policy, word_notify);
+                rt::publish_read(shared[acc[k].data], policy, word_notify);
             }
             if (use_bells) {
               for (std::uint32_t peer = 0; peer < opts_.workers; ++peer)

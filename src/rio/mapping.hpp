@@ -39,8 +39,8 @@ class Mapping {
   [[nodiscard]] bool valid() const noexcept { return fn_ && *fn_; }
 
   /// Stable identity of the underlying closure: copies of one Mapping share
-  /// it, distinct constructions never do (while either is alive). Cache key
-  /// material for compiled plans (PrunedPlanCache).
+  /// it, distinct constructions never do (while either is alive — a cache
+  /// keyed on it must keep a copy, as PrunedPlanCache does).
   [[nodiscard]] const void* identity() const noexcept { return fn_.get(); }
 
  private:

@@ -1,82 +1,93 @@
 #include "rio/pruning.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
 
 #include "support/assert.hpp"
 #include "rio/stall_diag.hpp"
 
 namespace rio::rt {
-namespace {
-
-/// Shared scan state: what a fully-unrolling worker's local replica would
-/// contain just before each task.
-struct ScanState {
-  stf::TaskId last_writer = kNoWrite;
-  std::uint64_t reads_since_write = 0;
-};
-
-}  // namespace
 
 PrunedPlan::PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
-                       std::uint32_t num_workers) {
+                       std::uint32_t num_workers)
+    : order_(image.size()),
+      begin_(std::size_t{num_workers} + 1, 0),
+      expect_(image.num_accesses_total()),
+      fingerprint_(image.fingerprint()),
+      first_(image.first_id()) {
   RIO_ASSERT(mapping.valid() && num_workers > 0);
-  per_worker_.resize(num_workers);
+  const std::size_t n = image.size();
+  RIO_ASSERT_MSG(n < kNone, "pruned plans index tasks with u32");
+  RIO_ASSERT_MSG(
+      image.num_accesses_total() <= std::numeric_limits<std::uint32_t>::max(),
+      "pruned plans index accesses with u32");
 
-  std::vector<ScanState> data(image.num_data());
+  // One scan: the expectation of access k is what a fully-unrolling
+  // worker's local replica holds for its data just before the task, i.e.
+  // the running per-data state; owners are counted for the placement below.
+  std::vector<Expect> state(image.num_data());
+  std::vector<stf::WorkerId> owner(n);
   const stf::FlowImage::Span* spans = image.spans();
   const stf::Access* acc = image.accesses();
-  const std::size_t n = image.size();
-  const stf::TaskId first = image.first_id();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const stf::TaskId id = first + i;
-    const stf::WorkerId owner = mapping(id);
-    RIO_ASSERT_MSG(owner < num_workers, "mapping produced out-of-range worker");
-
-    PrunedTask pt;
-    pt.id = id;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const stf::WorkerId w = mapping(first_ + i);
+    RIO_ASSERT_MSG(w < num_workers, "mapping produced out-of-range worker");
+    owner[i] = w;
+    ++begin_[w + 1];
     const stf::FlowImage::Span s = spans[i];
+    for (std::uint32_t k = s.begin; k != s.end; ++k)
+      expect_[k] = state[acc[k].data];
     for (std::uint32_t k = s.begin; k != s.end; ++k) {
-      const stf::Access& a = acc[k];
-      const ScanState& st = data[a.data];
-      PrunedAccess pa;
-      pa.data = a.data;
-      pa.mode = a.mode;
-      pa.expected_writer = st.last_writer;
-      pa.expected_reads = st.reads_since_write;
-      pt.accesses.push_back(pa);
-    }
-    per_worker_[owner].push_back(std::move(pt));
-    ++total_;
-
-    for (std::uint32_t k = s.begin; k != s.end; ++k) {
-      const stf::Access& a = acc[k];
-      ScanState& st = data[a.data];
-      if (is_write(a.mode)) {
-        st.last_writer = id;
-        st.reads_since_write = 0;
-      } else {
-        st.reads_since_write += 1;
-      }
+      Expect& st = state[acc[k].data];
+      if (is_write(acc[k].mode))
+        st = Expect{i, 0};
+      else
+        st.reads += 1;
     }
   }
+
+  // Counting sort: begin_ becomes the per-worker offsets, then each task
+  // index lands in its owner's slice in flow order.
+  for (std::uint32_t w = 0; w < num_workers; ++w) begin_[w + 1] += begin_[w];
+  std::vector<std::uint32_t> next(begin_.begin(), begin_.end() - 1);
+  for (std::uint32_t i = 0; i < n; ++i) order_[next[owner[i]]++] = i;
+}
+
+bool PrunedPlan::built_for(const stf::FlowImage& image) const noexcept {
+  return fingerprint_ == image.fingerprint() && order_.size() == image.size() &&
+         first_ == image.first_id() &&
+         expect_.size() == image.num_accesses_total();
 }
 
 std::shared_ptr<const PrunedPlan> PrunedPlanCache::get(
     const stf::FlowImage& image, const Mapping& mapping,
-    std::uint32_t num_workers) {
-  const Key key{image.serial(), image.fingerprint(), mapping.identity(),
-                num_workers};
-  for (const Entry& e : entries_) {
-    if (e.key.serial == key.serial && e.key.fingerprint == key.fingerprint &&
-        e.key.mapping == key.mapping && e.key.workers == key.workers)
-      return e.plan;
+    std::uint32_t num_workers, bool* compiled) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto hit = std::find_if(entries_.begin(), entries_.end(),
+                                [&](const Entry& e) {
+    return e.serial == image.serial() &&
+           e.fingerprint == image.fingerprint() &&
+           e.mapping.identity() == mapping.identity() &&
+           e.workers == num_workers;
+  });
+  if (compiled != nullptr) *compiled = hit == entries_.end();
+  if (hit != entries_.end()) {
+    std::rotate(entries_.begin(), hit, hit + 1);  // now most recently used
+    return entries_.front().plan;
   }
   auto plan = std::make_shared<const PrunedPlan>(image, mapping, num_workers);
   ++compiles_;
-  entries_.push_back({key, plan});
+  if (entries_.size() == kCapacity) entries_.pop_back();
+  entries_.insert(entries_.begin(), Entry{image.serial(), image.fingerprint(),
+                                          mapping, num_workers, plan});
   return plan;
+}
+
+std::uint64_t PrunedPlanCache::compiles() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return compiles_;
 }
 
 PrunedRuntime::PrunedRuntime(const engine::Launch& launch) : launch_(launch) {
@@ -87,6 +98,7 @@ support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
                                      const PrunedPlan& plan) {
   RIO_ASSERT_MSG(plan.num_workers() == launch_.workers,
                  "plan built for a different worker count");
+  RIO_ASSERT_MSG(plan.built_for(image), "plan built for a different image");
   const std::uint32_t p = launch_.workers;
   const std::size_t num_data = image.num_data();
   stf::WorkerHarness harness("rio-pruned", launch_, image.registry(), num_data,
@@ -103,38 +115,46 @@ support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
       pool_,
       [&](stf::HarnessWorker& w) {
         SharedDataState* const shared = arenas_.shared.data();
+        const stf::FlowImage::Span* const spans = image.spans();
+        const stf::Access* const acc = image.accesses();
         const stf::TaskId first = image.first_id();
         const support::WaitPolicy policy = launch_.wait_policy;
         const std::atomic<bool>* const abort = harness.abort_flag();
         const bool word_notify = !bells;
         std::atomic<std::uint64_t>* const bell =
             bells ? &arenas_.bells[w.self].value : nullptr;
-        for (const PrunedTask& pt : plan.tasks_for(w.self)) {
+        for (const std::uint32_t i : plan.tasks_for(w.self)) {
+          const stf::FlowImage::Span s = spans[i];
           harness.execute(
-              w, image.task(pt.id - first),
+              w, image.task(i),
               [&] {
                 // Same protocol wait as the full runtime (acquire_for
                 // through the proto:: seam), with the plan's expectations
                 // in place of the local replica.
                 stf::Acquired acq;
-                for (const PrunedAccess& pa : pt.accesses) {
-                  w.await(pa.data, pa.expected_writer, pa.expected_reads);
-                  if (acquire_for(shared[pa.data], pa.expected_writer,
-                                  pa.expected_reads, is_write(pa.mode),
-                                  policy, abort, &w.obs.spin_iters, bell))
-                    acq.note(pa.expected_writer, pa.data);
+                for (std::uint32_t k = s.begin; k != s.end; ++k) {
+                  const stf::DataId d = acc[k].data;
+                  const stf::TaskId writer = plan.expected_writer(k);
+                  const std::uint64_t reads = plan.expected_reads(k);
+                  w.await(d, writer, reads);
+                  if (acquire_for(shared[d], writer, reads,
+                                  is_write(acc[k].mode), policy, abort,
+                                  &w.obs.spin_iters, bell))
+                    acq.note(writer, d);
                 }
                 return acq;
               },
               [&] {
-                for (const PrunedAccess& pa : pt.accesses) {
-                  if (is_write(pa.mode))
-                    publish_write(shared[pa.data], pt.id, policy, word_notify);
+                const stf::TaskId id = first + i;
+                for (std::uint32_t k = s.begin; k != s.end; ++k) {
+                  if (is_write(acc[k].mode))
+                    publish_write(shared[acc[k].data], id, policy,
+                                  word_notify);
                   else
-                    publish_read(shared[pa.data], policy, word_notify);
+                    publish_read(shared[acc[k].data], policy, word_notify);
                 }
                 return bells ? arenas_.ring_peers(w.self, p, policy)
-                             : stf::ReleaseTally{pt.accesses.size(),
+                             : stf::ReleaseTally{s.end - s.begin,
                                                  std::nullopt};
               },
               [] {});
@@ -142,12 +162,6 @@ support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
         }
       },
       trace_, sync_trace_);
-}
-
-support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
-                                     const Mapping& mapping) {
-  const auto plan = cache_.get(image, mapping, launch_.workers);
-  return run(image, *plan);
 }
 
 }  // namespace rio::rt

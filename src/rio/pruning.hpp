@@ -16,18 +16,31 @@
 // workers (analogous to the compiler-assisted pruning used in
 // distributed-memory STF runtimes [Agullo et al., TPDS 2017]).
 //
-// Plans compile fastest from a stf::FlowImage (flat access array, no Task
-// records touched), and PrunedPlanCache memoizes them keyed by
-// (image serial, image fingerprint, mapping identity, worker count) so a
-// run loop pays the O(n) compilation exactly once per distinct
-// (flow, rewrite, mapping) triple.
+// A PrunedPlan is flat and indexes into the stf::FlowImage it was compiled
+// from; it copies nothing the image already holds:
+//
+//   * order[] + begin[p+1] — one u32 image-relative task index per task,
+//     grouped by worker (counting sort), in flow order within a worker;
+//   * expect[k]            — one {writer, reads} pair of u32 per image
+//     access k (the image's flat access index); data id and mode are read
+//     from image.accesses()[k].
+//
+// That is 4 bytes per task plus 8 per access (~12 B/task for the
+// single-access counter tasks of Fig. 6-7). A plan is only valid for the
+// image it was built from; PrunedRuntime::run checks the fingerprint.
+//
+// PrunedPlanCache memoizes plans keyed by (image serial, image
+// fingerprint, mapping, worker count) so a run loop pays the O(n)
+// compilation once per distinct (flow, rewrite, mapping) triple. The
+// rio-pruned registry backend owns the one cache of a process.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
-#include "support/inline_vec.hpp"
 #include "support/stats.hpp"
 #include "rio/mapping.hpp"
 #include "rio/runtime.hpp"
@@ -35,82 +48,106 @@
 
 namespace rio::rt {
 
-/// One precomputed access of a pruned task: which data, which mode, and
-/// the protocol state to wait for before proceeding.
-struct PrunedAccess {
-  stf::DataId data = stf::kInvalidData;
-  stf::AccessMode mode = stf::AccessMode::kRead;
-  stf::TaskId expected_writer = kNoWrite;  ///< last write before this task
-  std::uint64_t expected_reads = 0;        ///< reads since it (writes only)
-};
-
-/// A worker's slice of the flow after pruning.
-struct PrunedTask {
-  stf::TaskId id = stf::kInvalidTask;
-  support::InlineVec<PrunedAccess, 4> accesses;
-};
-
 /// The full pruned execution plan: per-worker task lists with resolved
-/// dependency expectations. Build once, execute many times.
+/// dependency expectations, indexed by the image's task and access
+/// indices. Build once, execute many times over the same image.
 class PrunedPlan {
  public:
-  /// O(num_tasks) scan over the image's flat access array; evaluates
-  /// `mapping` once per task. Ids stay global (image.first_id() based).
+  /// O(num_tasks + num_accesses) scan over the image's flat access array;
+  /// evaluates `mapping` once per task. Allocates its arrays up front and
+  /// nothing per task.
   PrunedPlan(const stf::FlowImage& image, const Mapping& mapping,
              std::uint32_t num_workers);
 
   [[nodiscard]] std::uint32_t num_workers() const noexcept {
-    return static_cast<std::uint32_t>(per_worker_.size());
-  }
-  [[nodiscard]] const std::vector<PrunedTask>& tasks_for(
-      stf::WorkerId w) const {
-    return per_worker_[w];
+    return static_cast<std::uint32_t>(begin_.size() - 1);
   }
 
-  /// Total tasks across workers (== flow.num_tasks()).
-  [[nodiscard]] std::size_t total_tasks() const noexcept { return total_; }
+  /// Image-relative indices of the tasks worker `w` runs, in flow order.
+  [[nodiscard]] std::span<const std::uint32_t> tasks_for(
+      stf::WorkerId w) const noexcept {
+    return {order_.data() + begin_[w], order_.data() + begin_[w + 1]};
+  }
+
+  /// Global id of the last write before image access `k` (kNoWrite when
+  /// none): what the access waits to see published.
+  [[nodiscard]] stf::TaskId expected_writer(std::size_t k) const noexcept {
+    const std::uint32_t w = expect_[k].writer;
+    return w == kNone ? kNoWrite : first_ + w;
+  }
+  /// Reads since that write, which a write access `k` additionally waits
+  /// for.
+  [[nodiscard]] std::uint64_t expected_reads(std::size_t k) const noexcept {
+    return expect_[k].reads;
+  }
+
+  /// Whether this plan was compiled from `image` (same content fingerprint,
+  /// task count, first id and access count).
+  [[nodiscard]] bool built_for(const stf::FlowImage& image) const noexcept;
+
+  /// Total tasks across workers (== image.size()).
+  [[nodiscard]] std::size_t total_tasks() const noexcept {
+    return order_.size();
+  }
 
  private:
-  std::vector<std::vector<PrunedTask>> per_worker_;
-  std::size_t total_ = 0;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  /// Protocol state at one access: the last write before it (image-relative
+  /// task index, kNone = none) and the reads since that write.
+  struct Expect {
+    std::uint32_t writer = kNone;
+    std::uint32_t reads = 0;
+  };
+
+  std::vector<std::uint32_t> order_;  ///< task indices grouped by worker
+  std::vector<std::uint32_t> begin_;  ///< worker w owns order_[begin_[w],
+                                      ///< begin_[w+1])
+  std::vector<Expect> expect_;        ///< per image access
+  std::uint64_t fingerprint_ = 0;
+  stf::TaskId first_ = 0;
 };
 
 /// Memoizes compiled plans keyed by (FlowImage::serial(),
-/// FlowImage::fingerprint(), Mapping::identity(), worker count). A repeated
-/// run() over the same image+mapping pays ZERO plan recomputation — the
-/// property micro_unroll measures and the replay tests assert via
-/// compiles(). The fingerprint matters for flowpass rewrites: an optimized
-/// image inherits its source's serial, and only the content hash keeps it
-/// from reusing the unoptimized plan.
+/// FlowImage::fingerprint(), Mapping, worker count). A repeated run over
+/// the same image+mapping pays ZERO plan recomputation. The fingerprint
+/// matters for flowpass rewrites: an optimized image inherits its source's
+/// serial, and only the content hash keeps it from reusing the unoptimized
+/// plan.
 ///
-/// Not thread-safe: one cache belongs to one driving thread (the engines
-/// themselves are already single-entry).
+/// Each entry keeps a copy of its Mapping: the mapping is compared by
+/// Mapping::identity() (the closure's address), and holding the closure
+/// alive is what stops a later Mapping from being allocated at the same
+/// address and being served this entry's plan.
+///
+/// Thread-safe: one mutex guards the entries, and a miss compiles under
+/// it, so concurrent callers of one key compile it exactly once. Bounded:
+/// at most kCapacity entries, least recently used evicted first.
 class PrunedPlanCache {
  public:
-  /// Returns the cached plan, compiling (and counting) on first sight.
+  static constexpr std::size_t kCapacity = 4;
+
+  /// Returns the cached plan, compiling (and counting) on a miss; when
+  /// `compiled` is given it is set to whether THIS call compiled.
   std::shared_ptr<const PrunedPlan> get(const stf::FlowImage& image,
                                         const Mapping& mapping,
-                                        std::uint32_t num_workers);
+                                        std::uint32_t num_workers,
+                                        bool* compiled = nullptr);
 
   /// How many plans were actually compiled (cache misses).
-  [[nodiscard]] std::uint64_t compiles() const noexcept { return compiles_; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  void clear() noexcept { entries_.clear(); }
+  [[nodiscard]] std::uint64_t compiles() const;
 
  private:
-  struct Key {
+  struct Entry {
     std::uint64_t serial = 0;       // FlowImage::serial() (lineage)
     std::uint64_t fingerprint = 0;  // FlowImage::fingerprint() (content) —
                                     // rewritten images share the source's
                                     // serial and must never alias its plan
-    const void* mapping = nullptr;  // Mapping::identity()
+    Mapping mapping;                // kept alive: pins identity()
     std::uint32_t workers = 0;
-  };
-  struct Entry {
-    Key key;
     std::shared_ptr<const PrunedPlan> plan;
   };
-  std::vector<Entry> entries_;  // few distinct keys per process: linear scan
+  mutable std::mutex mu_;
+  std::vector<Entry> entries_;  // most recently used first; linear scan
   std::uint64_t compiles_ = 0;
 };
 
@@ -120,13 +157,10 @@ class PrunedRuntime {
  public:
   explicit PrunedRuntime(const engine::Launch& launch);
 
-  /// Image replay through an explicit plan (bodies come from image.task()).
+  /// Image replay through `plan`, which must have been compiled from
+  /// `image` (asserted) for launch.workers workers. Bodies come from
+  /// image.task().
   support::RunStats run(const stf::FlowImage& image, const PrunedPlan& plan);
-
-  /// Cached fast path: compiles the plan on first call for this
-  /// (image, mapping) pair, replays from cache afterwards. The bench loop
-  /// is literally `while (...) prt.run(image, mapping);`.
-  support::RunStats run(const stf::FlowImage& image, const Mapping& mapping);
 
   /// Trace of the last run (empty unless launch.collect_trace).
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
@@ -137,12 +171,6 @@ class PrunedRuntime {
     return sync_trace_;
   }
 
-  /// Cache-miss counter of the internal plan cache (test hook for the
-  /// "second run recompiles nothing" guarantee).
-  [[nodiscard]] std::uint64_t plan_compiles() const noexcept {
-    return cache_.compiles();
-  }
-
   /// Same contract as Runtime::attach_pool: reuse `pool` for all subsequent
   /// runs instead of spawning threads per run.
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
@@ -151,7 +179,6 @@ class PrunedRuntime {
   engine::Launch launch_;
   stf::Trace trace_;
   stf::SyncTrace sync_trace_;
-  PrunedPlanCache cache_;
   support::ThreadPool* pool_ = nullptr;
   RunArenas arenas_;  ///< recycled across runs (never shrinks)
 };

@@ -11,13 +11,18 @@
 //   * a Launch asking for more than a backend's capabilities is rejected
 //     with ONE UnsupportedLaunch naming every offending knob;
 //   * per-backend Outcome extras (trace/sync, hybrid phases, pruned plan
-//     compiles) are populated when the capability is exercised.
+//     compiles) are populated when the capability is exercised;
+//   * rio-pruned's session plan cache: repeat runs compile nothing, the
+//     least recently used plan is evicted past the cap, and concurrent
+//     callers share it safely.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "engine/registry.hpp"
 #include "obs/obs.hpp"
@@ -281,8 +286,99 @@ TEST(EngineOutcome, PrunedReportsPlanCompiles) {
   engine::Launch launch;
   launch.workers = 2;
   launch.mapping = rt::mapping::round_robin(2);
-  const auto outcome = pr->run(stf::FlowImage::compile(flow), launch);
-  EXPECT_EQ(outcome.plan_compiles, 1u);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  EXPECT_EQ(pr->run(image, launch).plan_compiles, 1u);
+  // Same image and Launch: the backend's session cache holds the plan.
+  EXPECT_EQ(pr->run(image, launch).plan_compiles, 0u);
+  // A recompiled image of the same flow is a new key (new serial).
+  EXPECT_EQ(pr->run(stf::FlowImage::compile(flow), launch).plan_compiles, 1u);
+}
+
+TEST(EngineOutcome, PrunedPlanCacheEvictsTheLeastRecentlyUsedPlan) {
+  auto flow = make_fold_chain(24, 3);
+  const engine::Backend* pr = engine::Registry::instance().find("rio-pruned");
+  ASSERT_NE(pr, nullptr);
+  engine::Launch launch;
+  launch.workers = 2;
+  launch.mapping = rt::mapping::round_robin(2);
+  // One more distinct image than the cache holds: the first one's plan is
+  // the least recently used and goes.
+  std::vector<stf::FlowImage> images;
+  for (std::size_t i = 0; i <= rt::PrunedPlanCache::kCapacity; ++i)
+    images.push_back(stf::FlowImage::compile(flow));
+  for (const stf::FlowImage& image : images)
+    EXPECT_EQ(pr->run(image, launch).plan_compiles, 1u);
+  EXPECT_EQ(pr->run(images.back(), launch).plan_compiles, 0u);
+  EXPECT_EQ(pr->run(images.front(), launch).plan_compiles, 1u);
+}
+
+TEST(EngineOutcome, PrunedPlanCacheIsSharedSafelyAcrossCallers) {
+  // Four caller threads drive the one rio-pruned backend at once. Phase 1:
+  // all run one shared image, which must compile exactly once. Its tasks
+  // have no bodies (concurrent runs of one image share its data), so its
+  // oracle is the trace: in order per worker and dependency-respecting.
+  // Phase 2: each runs a private fold chain twice, which must compile once
+  // and match the sequential oracle (also run twice) byte for byte.
+  constexpr int kCallers = 4;
+  const engine::Backend* pr = engine::Registry::instance().find("rio-pruned");
+  ASSERT_NE(pr, nullptr);
+
+  stf::TaskFlow shared_flow;
+  std::vector<stf::DataHandle<std::uint64_t>> objs;
+  for (int d = 0; d < 5; ++d)
+    objs.push_back(
+        shared_flow.create_data<std::uint64_t>("s" + std::to_string(d)));
+  for (std::uint32_t t = 0; t < 200; ++t)
+    shared_flow.add_virtual(
+        1, {stf::read(objs[(t + 1) % objs.size()]),
+            stf::readwrite(objs[t % objs.size()])});
+  const stf::FlowImage shared_image = stf::FlowImage::compile(shared_flow);
+  const stf::DependencyGraph graph(shared_flow);
+
+  std::vector<stf::TaskFlow> mine, oracle;
+  for (int c = 0; c < kCallers; ++c) {
+    mine.push_back(make_fold_chain(120 + 10 * c, 4));
+    oracle.push_back(make_fold_chain(120 + 10 * c, 4));
+    for (int rep = 0; rep < 2; ++rep)  // the callers run it twice too
+      stf::SequentialExecutor{}.run(oracle.back());
+  }
+
+  // One Mapping for every caller: copies share its identity, the key.
+  const rt::Mapping mapping = rt::mapping::round_robin(2);
+  std::barrier sync(kCallers);
+  std::vector<std::uint64_t> shared_compiles(kCallers, 0);
+  std::vector<std::uint64_t> private_compiles(kCallers, 0);
+  std::vector<std::string> errors(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      engine::Launch launch;
+      launch.workers = 2;
+      launch.mapping = mapping;
+      launch.collect_trace = true;
+      sync.arrive_and_wait();
+      for (int rep = 0; rep < 2; ++rep) {
+        const engine::Outcome out = pr->run(shared_image, launch);
+        shared_compiles[c] += out.plan_compiles;
+        const auto v = out.trace.validate(shared_flow, graph, true);
+        if (!v.ok()) errors[c] = v.reason;
+      }
+      sync.arrive_and_wait();
+      const stf::FlowImage own = stf::FlowImage::compile(mine[c]);
+      for (int rep = 0; rep < 2; ++rep)
+        private_compiles[c] += pr->run(own, launch).plan_compiles;
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  std::uint64_t total_shared = 0;
+  for (int c = 0; c < kCallers; ++c) {
+    total_shared += shared_compiles[c];
+    EXPECT_TRUE(errors[c].empty()) << "caller " << c << ": " << errors[c];
+    EXPECT_EQ(private_compiles[c], 1u) << "caller " << c;
+    expect_same_data(mine[c], oracle[c], "caller " + std::to_string(c));
+  }
+  EXPECT_EQ(total_shared, 1u);
 }
 
 }  // namespace

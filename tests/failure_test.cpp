@@ -572,17 +572,20 @@ TEST(Resilience, PrunedCachedPlanSurvivesFailure) {
              },
              {stf::readwrite(d)});
   const auto image = stf::FlowImage::compile(flow);
-  const auto mapping = rt::mapping::round_robin(2);
-  rt::PrunedRuntime runtime(engine::Launch{.workers = 2});
+  const engine::Backend* pruned =
+      engine::Registry::instance().find("rio-pruned");
+  ASSERT_NE(pruned, nullptr);
+  engine::Launch launch{.workers = 2};
+  launch.mapping = rt::mapping::round_robin(2);
 
-  EXPECT_THROW(runtime.run(image, mapping), BoomError);
+  EXPECT_THROW((void)pruned->run(image, launch), BoomError);
   EXPECT_EQ(executed.load(), 7);
 
   armed.store(false);
   executed.store(0);
-  runtime.run(image, mapping);  // must not throw
+  const engine::Outcome out = pruned->run(image, launch);  // must not throw
   EXPECT_EQ(executed.load(), 20);
-  EXPECT_EQ(runtime.plan_compiles(), 1u);  // plan compiled exactly once
+  EXPECT_EQ(out.plan_compiles, 0u);  // the cancelled run's plan, reused
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/hb_checker.hpp"
+#include "engine/registry.hpp"
 #include "rio/pruning.hpp"
 #include "rio/runtime.hpp"
 #include "coor/runtime.hpp"
@@ -190,7 +191,9 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
 
   rt::PrunedRuntime pruned(cfg);
   const stf::FlowImage pruned_image = stf::FlowImage::compile(wl_pruned.flow);
-  pruned.run(pruned_image, wl_pruned.mapping(kWorkers));
+  pruned.run(pruned_image,
+             rt::PrunedPlan(pruned_image, wl_pruned.mapping(kWorkers),
+                            kWorkers));
   ASSERT_TRUE(pruned.trace().validate(wl_pruned.flow, graph, true).ok());
   expect_clean_sync(wl_pruned.flow, pruned.sync_trace(), "pruned");
   expect_same_registry(wl_pruned.flow.registry(), wl_seq.flow.registry(),
@@ -236,25 +239,49 @@ TEST(FlowImageReplay, CoorImageReplayIsRepeatable) {
 // ----------------------------------------------------------------- cache ---
 
 TEST(PruningCache, SecondRunCompilesNothing) {
+  // Through the registry: the rio-pruned backend's session cache outlives
+  // each Backend::run, and Outcome::plan_compiles says what a call paid.
   auto wl = make_equivalence_workload();
   const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
-  const rt::Mapping mapping = wl.mapping(2);
+  const engine::Backend* pruned =
+      engine::Registry::instance().find("rio-pruned");
+  ASSERT_NE(pruned, nullptr);
+  engine::Launch launch{.workers = 2};
+  launch.mapping = wl.mapping(2);
 
-  rt::PrunedRuntime prt(engine::Launch{.workers = 2});
-  EXPECT_EQ(prt.plan_compiles(), 0u);
-  prt.run(image, mapping);
-  EXPECT_EQ(prt.plan_compiles(), 1u);
-  prt.run(image, mapping);
-  prt.run(image, mapping);
-  EXPECT_EQ(prt.plan_compiles(), 1u);  // cache hit: zero recomputation
+  EXPECT_EQ(pruned->run(image, launch).plan_compiles, 1u);
+  EXPECT_EQ(pruned->run(image, launch).plan_compiles, 0u);  // zero recompute
+  EXPECT_EQ(pruned->run(image, launch).plan_compiles, 0u);
 
   // A different mapping is a different key...
-  prt.run(image, rt::mapping::round_robin(2));
-  EXPECT_EQ(prt.plan_compiles(), 2u);
+  engine::Launch other = launch;
+  other.mapping = rt::mapping::round_robin(2);
+  EXPECT_EQ(pruned->run(image, other).plan_compiles, 1u);
   // ...and a recompiled image of the same flow is too (new serial).
   const stf::FlowImage again = stf::FlowImage::compile(wl.flow);
-  prt.run(again, mapping);
-  EXPECT_EQ(prt.plan_compiles(), 3u);
+  EXPECT_EQ(pruned->run(again, launch).plan_compiles, 1u);
+}
+
+TEST(PruningCache, DeadMappingNeverAliasesANewOne) {
+  // Mappings are keyed by closure address. Once a Mapping dies, a new one
+  // can be allocated at the same address; the cache keeps a copy of each
+  // entry's Mapping so that address stays taken, and the single(0) plan is
+  // compiled instead of served the round-robin one.
+  stf::TaskFlow flow;
+  auto d = flow.create_data<int>("d");
+  for (int i = 0; i < 8; ++i) flow.add_virtual(1, {stf::readwrite(d)});
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt::PrunedPlanCache cache;
+  {
+    const auto plan = cache.get(image, rt::mapping::round_robin(2), 2);
+    EXPECT_EQ(plan->tasks_for(0).size(), 4u);
+  }
+  {
+    const auto plan = cache.get(image, rt::mapping::single(0), 2);
+    EXPECT_EQ(plan->tasks_for(0).size(), 8u);
+    EXPECT_EQ(plan->tasks_for(1).size(), 0u);
+  }
+  EXPECT_EQ(cache.compiles(), 2u);
 }
 
 TEST(PruningCache, CopiedMappingSharesIdentity) {
@@ -283,34 +310,40 @@ TEST(PruningCache, ImagePlanMatchesFlowPlan) {
   // Each access expects the flow's last writer before it and, for writes,
   // the reads since that writer — the values a fully-unrolling worker's
   // local replica would hold.
+  // Access k is the image's flat access index:
+  //   k0 = t0 W(a), k1 = t1 R(a), k2 = t1 W(b), k3 = t3 RW(b).
   const stf::TaskFlow flow = make_named_flow();
-  const rt::PrunedPlan plan(stf::FlowImage::compile(flow),
-                            rt::mapping::round_robin(2), 2);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  const rt::PrunedPlan plan(image, rt::mapping::round_robin(2), 2);
   ASSERT_EQ(plan.total_tasks(), 4u);
-  const auto& w0 = plan.tasks_for(0);
-  const auto& w1 = plan.tasks_for(1);
+  const auto w0 = plan.tasks_for(0);
+  const auto w1 = plan.tasks_for(1);
   ASSERT_EQ(w0.size(), 2u);
   ASSERT_EQ(w1.size(), 2u);
+  const auto span_of = [&](std::uint32_t i) { return image.spans()[i]; };
 
-  EXPECT_EQ(w0[0].id, 0u);
-  ASSERT_EQ(w0[0].accesses.size(), 1u);
-  EXPECT_EQ(w0[0].accesses[0].expected_writer, rt::kNoWrite);
-  EXPECT_EQ(w0[0].accesses[0].expected_reads, 0u);
-  EXPECT_EQ(w0[1].id, 2u);
-  EXPECT_TRUE(w0[1].accesses.empty());
+  EXPECT_EQ(image.task_id(w0[0]), 0u);
+  ASSERT_EQ(span_of(w0[0]).end - span_of(w0[0]).begin, 1u);
+  EXPECT_EQ(span_of(w0[0]).begin, 0u);
+  EXPECT_EQ(plan.expected_writer(0), rt::kNoWrite);
+  EXPECT_EQ(plan.expected_reads(0), 0u);
+  EXPECT_EQ(image.task_id(w0[1]), 2u);
+  EXPECT_EQ(span_of(w0[1]).begin, span_of(w0[1]).end);
 
-  EXPECT_EQ(w1[0].id, 1u);
-  ASSERT_EQ(w1[0].accesses.size(), 2u);
-  EXPECT_EQ(w1[0].accesses[0].mode, stf::AccessMode::kRead);
-  EXPECT_EQ(w1[0].accesses[0].expected_writer, 0u);  // init wrote a
-  EXPECT_EQ(w1[0].accesses[1].mode, stf::AccessMode::kWrite);
-  EXPECT_EQ(w1[0].accesses[1].expected_writer, rt::kNoWrite);
-  EXPECT_EQ(w1[0].accesses[1].expected_reads, 0u);
+  EXPECT_EQ(image.task_id(w1[0]), 1u);
+  ASSERT_EQ(span_of(w1[0]).end - span_of(w1[0]).begin, 2u);
+  EXPECT_EQ(span_of(w1[0]).begin, 1u);
+  EXPECT_EQ(image.accesses()[1].mode, stf::AccessMode::kRead);
+  EXPECT_EQ(plan.expected_writer(1), 0u);  // init wrote a
+  EXPECT_EQ(image.accesses()[2].mode, stf::AccessMode::kWrite);
+  EXPECT_EQ(plan.expected_writer(2), rt::kNoWrite);
+  EXPECT_EQ(plan.expected_reads(2), 0u);
 
-  EXPECT_EQ(w1[1].id, 3u);
-  ASSERT_EQ(w1[1].accesses.size(), 1u);
-  EXPECT_EQ(w1[1].accesses[0].expected_writer, 1u);  // read-both wrote b
-  EXPECT_EQ(w1[1].accesses[0].expected_reads, 0u);
+  EXPECT_EQ(image.task_id(w1[1]), 3u);
+  ASSERT_EQ(span_of(w1[1]).end - span_of(w1[1]).begin, 1u);
+  EXPECT_EQ(span_of(w1[1]).begin, 3u);
+  EXPECT_EQ(plan.expected_writer(3), 1u);  // read-both wrote b
+  EXPECT_EQ(plan.expected_reads(3), 0u);
 
   // A read between two writes is counted for the second writer.
   stf::TaskFlow rw;
@@ -319,14 +352,16 @@ TEST(PruningCache, ImagePlanMatchesFlowPlan) {
   rw.add("r1", {}, {stf::read(d)});
   rw.add("r2", {}, {stf::read(d)});
   rw.add("w2", {}, {stf::write(d)});
-  const rt::PrunedPlan rw_plan(stf::FlowImage::compile(rw),
-                               rt::mapping::single(), 1);
-  const auto& all = rw_plan.tasks_for(0);
+  const stf::FlowImage rw_image = stf::FlowImage::compile(rw);
+  const rt::PrunedPlan rw_plan(rw_image, rt::mapping::single(), 1);
+  const auto all = rw_plan.tasks_for(0);
   ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[1].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(all[2].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(all[3].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(all[3].accesses[0].expected_reads, 2u);
+  for (std::uint32_t i = 0; i < 4; ++i)
+    ASSERT_EQ(rw_image.spans()[all[i]].begin, i);  // one access per task
+  EXPECT_EQ(rw_plan.expected_writer(1), 0u);
+  EXPECT_EQ(rw_plan.expected_writer(2), 0u);
+  EXPECT_EQ(rw_plan.expected_writer(3), 0u);
+  EXPECT_EQ(rw_plan.expected_reads(3), 2u);
 }
 
 // ------------------------------------------------------------------- sim ---

@@ -410,14 +410,40 @@ TEST(Pruning, ExpectationsMatchDependencyAnalysis) {
   flow.add("r1", {}, {stf::read(d)});
   flow.add("r2", {}, {stf::read(d)});
   flow.add("w3", {}, {stf::write(d)});
-  rt::PrunedPlan plan(stf::FlowImage::compile(flow), rt::mapping::single(), 1);
-  const auto& tasks = plan.tasks_for(0);
+  const stf::FlowImage image = stf::FlowImage::compile(flow);
+  rt::PrunedPlan plan(image, rt::mapping::single(), 1);
+  const auto tasks = plan.tasks_for(0);
   ASSERT_EQ(tasks.size(), 4u);
-  EXPECT_EQ(tasks[0].accesses[0].expected_writer, rt::kNoWrite);
-  EXPECT_EQ(tasks[1].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(tasks[2].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(tasks[3].accesses[0].expected_writer, 0u);
-  EXPECT_EQ(tasks[3].accesses[0].expected_reads, 2u);
+  // One access per task: task i's access is image access i.
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(tasks[i], i);
+    ASSERT_EQ(image.spans()[i].begin, i);
+  }
+  EXPECT_EQ(plan.expected_writer(0), rt::kNoWrite);
+  EXPECT_EQ(plan.expected_writer(1), 0u);
+  EXPECT_EQ(plan.expected_writer(2), 0u);
+  EXPECT_EQ(plan.expected_writer(3), 0u);
+  EXPECT_EQ(plan.expected_reads(3), 2u);
+}
+
+TEST(PruningDeathTest, RunRejectsAPlanBuiltForAnotherImage) {
+  // The plan indexes the image's tasks and accesses; replaying it over
+  // another flow would read the wrong accesses, so run() refuses.
+  stf::TaskFlow flow;
+  auto d = flow.create_data<int>("d");
+  flow.add("w0", {}, {stf::write(d)});
+  flow.add("r1", {}, {stf::read(d)});
+  stf::TaskFlow other;
+  auto e = other.create_data<int>("e");
+  other.add("r0", {}, {stf::read(e)});
+  other.add("w1", {}, {stf::write(e)});
+  const rt::PrunedPlan plan(stf::FlowImage::compile(flow),
+                            rt::mapping::single(), 1);
+  const stf::FlowImage wrong = stf::FlowImage::compile(other);
+  EXPECT_FALSE(plan.built_for(wrong));
+  EXPECT_TRUE(plan.built_for(stf::FlowImage::compile(flow)));
+  rt::PrunedRuntime prt(engine::Launch{.workers = 1});
+  EXPECT_DEATH(prt.run(wrong, plan), "plan built for a different image");
 }
 
 TEST(Pruning, PrunedExecutionMatchesOracle) {

@@ -41,9 +41,11 @@
 #      (the wait-free MPMC ready ring), and every engine again with
 #      --recover (crash + evicted-resume two-phase exploration);
 #  14. ThreadSanitizer pass (skipped with RIO_SKIP_TSAN=1): rebuilds the
-#      failure suite + model checker + rioflow with RIO_SANITIZE=thread and
-#      reruns the resilience tests (incl. the recovery + crash-fuzz
-#      suites), the modelcheck suite, the quick chaos sweeps (transient
+#      failure + engine suites, the model checker and rioflow with
+#      RIO_SANITIZE=thread and reruns the resilience tests (incl. the
+#      recovery + crash-fuzz suites), the engine suite (incl. concurrent
+#      callers sharing rio-pruned's session plan cache), the modelcheck
+#      suite, the quick chaos sweeps (transient
 #      AND crash kinds) and the new wait/notify configurations
 #      (block-policy doorbells, coor --queue ring) under TSan — the retry
 #      / watchdog / abort / eviction machinery, the controlled scheduler
@@ -51,9 +53,10 @@
 #      earns its keep on;
 #  15. AddressSanitizer + UndefinedBehaviorSanitizer pass (skipped with
 #      RIO_SKIP_ASAN=1): rebuilds with RIO_SANITIZE=address,undefined and
-#      runs the failure, fuzz, flowpass, coor, rio and hybrid suites — the
-#      worker harness's lifetimes (arenas, probes, watchdog lambdas, death
-#      records) under every engine.
+#      runs the engine, failure, fuzz, flowpass, coor, rio and hybrid
+#      suites — the worker harness's lifetimes (arenas, probes, watchdog
+#      lambdas, death records) under every engine, and the session plan
+#      cache's entries across registry calls.
 #
 # Usage: tools/run_checks.sh [build-dir]   (default: build)
 set -u
@@ -341,7 +344,7 @@ else
   fail "verify --quick --json"
 fi
 
-step "thread sanitizer: resilience + modelcheck suites + quick chaos sweep"
+step "thread sanitizer: resilience, engine + modelcheck suites, quick chaos"
 if [ "${RIO_SKIP_TSAN:-0}" = "1" ]; then
   echo "RIO_SKIP_TSAN=1; skipping"
 else
@@ -349,9 +352,12 @@ else
   if cmake -B "$TSAN_BUILD" -S "$ROOT" -DRIO_SANITIZE=thread \
        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
      cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-       --target failure_test modelcheck_test rioflow >/dev/null; then
+       --target failure_test engine_test modelcheck_test rioflow \
+       >/dev/null; then
     "$TSAN_BUILD/tests/failure_test" >/dev/null ||
       fail "failure_test under TSan"
+    "$TSAN_BUILD/tests/engine_test" >/dev/null ||
+      fail "engine_test under TSan"
     "$TSAN_BUILD/tests/modelcheck_test" >/dev/null ||
       fail "modelcheck_test under TSan"
     "$TSAN_BUILD/rioflow" chaos --quick --workers 2 >/dev/null ||
@@ -377,12 +383,12 @@ else
   fi
 fi
 
-step "address + undefined sanitizers: engine, failure and fuzz suites"
+step "address + undefined sanitizers: engine, failure, fuzz, flowpass, coor, rio and hybrid suites"
 if [ "${RIO_SKIP_ASAN:-0}" = "1" ]; then
   echo "RIO_SKIP_ASAN=1; skipping"
 else
   ASAN_BUILD="$BUILD-asan"
-  ASAN_SUITES="failure_test fuzz_test flowpass_test coor_test rio_test hybrid_test"
+  ASAN_SUITES="engine_test failure_test fuzz_test flowpass_test coor_test rio_test hybrid_test"
   # shellcheck disable=SC2086  # ASAN_SUITES is a word list on purpose
   if cmake -B "$ASAN_BUILD" -S "$ROOT" -DRIO_SANITIZE=address,undefined \
        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRIO_ENABLE_BENCH=OFF \
