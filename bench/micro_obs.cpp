@@ -8,9 +8,10 @@
 //
 //   * off        — Launch::obs == nullptr: the per-worker lens is unbound
 //                  and every obs call is a null-check;
-//   * counters   — Hub without a recorder: per-worker cache-line-padded
-//                  increments only; the engine's `timed` flag stays false,
-//                  so no clock reads are added;
+//   * counters   — Hub without a recorder: the workers count into their
+//                  lenses exactly as with obs off, and the hub only adds
+//                  one commit per worker after the join; the engine's
+//                  `timed` flag stays false, so no clock reads are added;
 //   * recorder   — Hub with per-worker event rings: every task body becomes
 //                  a timed span pushed into a fixed ring (two clock reads
 //                  plus one 40-byte store per phase);
@@ -126,8 +127,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, opt, json, "obs_overhead");
 
-  std::cout << "Expected shape: counters within noise of off (padded "
-               "per-worker increments, no clock reads); counters+ring adds "
+  std::cout << "Expected shape: counters within noise of off (the same "
+               "worker-local adds, no clock reads); counters+ring adds "
                "a bounded constant per task from the two clock reads and "
                "one ring store per phase; ring 1-in-8 keeps the clock reads "
                "but skips 7 of 8 stores.\n";

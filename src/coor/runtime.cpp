@@ -277,13 +277,15 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
       if (w.timed) idle0 = support::monotonic_ns();
       if (w.probe != nullptr) w.probe->set_state(support::ProbeState::kWaiting);
       bool stole = false;
-      auto li = eng.next_task(w.self, stole, &w.obs.spin_iters);
+      auto li = eng.next_task(w.self, stole,
+                              &w.obs.counter(obs::Counter::kSpinIters));
       if (w.timed) {
-        // Every pop — including the final empty one — is wait time; a
-        // successful steal is attributed to the kSteal phase instead. A
-        // popped task's queue-wait cause is its dispatcher: the
-        // predecessor whose complete() made it ready (kNoTask when the
-        // master dispatched it or the queue closed empty).
+        // Every pop — including the final empty one — is wait time and one
+        // protocol wait; a successful steal is attributed to the kSteal
+        // phase instead. A popped task's queue-wait cause is its
+        // dispatcher: the predecessor whose complete() made it ready
+        // (kNoTask when the master dispatched it or the queue closed
+        // empty).
         const std::uint64_t id =
             li ? static_cast<std::uint64_t>(range.task(*li).id) : obs::kNoTask;
         const std::uint64_t cause =
@@ -291,7 +293,7 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
         w.obs.span(stole ? obs::Phase::kSteal : obs::Phase::kAcquireWait, id,
                    idle0, support::monotonic_ns(), cause);
       }
-      if (launch_.collect_stats) ++w.stats.waits;
+      w.obs.count(obs::Counter::kProtocolWaits);
       if (!li) break;
       w.obs.count(obs::Counter::kQueuePops);
       if (stole) w.obs.count(obs::Counter::kSteals);
@@ -320,12 +322,12 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
     }
   };
 
-  // Master role: unroll + dispatch.
-  std::uint64_t unroll_ns = 0;
+  // Master role: unroll + dispatch. Its unroll is one kMgmt span; the
+  // harness charges the rest of the run to its idle time.
   const auto master_walk = [&](stf::HarnessWorker& m) {
     std::uint64_t dispatches = 0;
     std::uint64_t wakes = 0;
-    const std::uint64_t begin = support::monotonic_ns();
+    const std::uint64_t begin = m.timed ? support::monotonic_ns() : 0;
     {
       // Incremental dependency discovery through the shared scanner — the
       // same rules as DependencyGraph, paid one task at a time (cost model
@@ -355,10 +357,10 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
       eng.done.store(true, std::memory_order_release);
       eng.close_queues();
     }
-    const std::uint64_t end = support::monotonic_ns();
-    unroll_ns = end - begin;
     // The whole unroll is one management span on the master's track.
-    if (m.timed) m.obs.span(obs::Phase::kMgmt, obs::kNoTask, begin, end);
+    if (m.timed)
+      m.obs.span(obs::Phase::kMgmt, obs::kNoTask, begin,
+                 support::monotonic_ns());
     if (dispatches > 0) {
       m.obs.count(obs::Counter::kQueuePushes, dispatches);
       m.obs.count(obs::Counter::kWakeups, dispatches);
@@ -378,13 +380,6 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
       trace_, sync_trace_, n);
   // Only an aborted run may finish with completed < n.
   RIO_ASSERT(eng.completed.load() == n);
-  if (launch_.collect_stats) {
-    // The master executes no tasks: its unrolling time (the kMgmt span) is
-    // pure runtime management, the rest of the run idle.
-    auto& mb = stats.workers[p].buckets;
-    mb.runtime_ns = unroll_ns;
-    mb.idle_ns = stats.wall_ns > unroll_ns ? stats.wall_ns - unroll_ns : 0;
-  }
   return stats;
 }
 

@@ -49,8 +49,10 @@ struct Launch {
   hybrid::PartialMapping partial{};  ///< partial mapping (partial_mapping
                                      ///< backends); empty = the backend's
                                      ///< default 16-task alternation
-  bool collect_stats = true;   ///< fill the tau buckets (derived from the
-                               ///< obs phase spans: a few clock reads/task)
+  bool collect_stats = true;   ///< time every task (a few clock reads), so
+                               ///< the tau buckets, derived from the obs
+                               ///< phase spans, are filled; the counts in
+                               ///< RunStats are exact either way
   bool collect_trace = false;  ///< supports_trace backends only
   bool collect_sync = false;   ///< supports_sync backends only
   bool enable_guard = false;   ///< supports_guard backends only

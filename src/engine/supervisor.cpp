@@ -116,9 +116,8 @@ Outcome run_supervised(const Backend& backend, const stf::FlowImage& image,
         launch.workers -= 1;
         ++evictions;
       }
-      if (launch.obs != nullptr)
-        launch.obs->global_counters().add(obs::Counter::kEvictions,
-                                          dead_ids.size());
+      obs::count_global(launch.obs, obs::Counter::kEvictions,
+                        dead_ids.size());
 
       // Resume past everything the board has seen complete. Tasks done
       // before the loss replay as protocol no-ops on the next attempt.

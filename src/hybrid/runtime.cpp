@@ -105,14 +105,8 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
     }
     ++completed_phases_;
     total.wall_ns += phase_stats.wall_ns;
-    for (std::size_t w = 0; w < phase_stats.workers.size(); ++w) {
-      auto& dst = total.workers[w < p ? w : p];
-      const auto& src = phase_stats.workers[w];
-      dst.buckets += src.buckets;
-      dst.tasks_executed += src.tasks_executed;
-      dst.tasks_skipped += src.tasks_skipped;
-      dst.waits += src.waits;
-    }
+    for (std::size_t w = 0; w < phase_stats.workers.size(); ++w)
+      total.workers[w < p ? w : p] += phase_stats.workers[w];
   }
   return total;
 }

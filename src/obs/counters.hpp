@@ -1,17 +1,13 @@
-// Always-on per-worker counters: one padded cache line per worker,
-// relaxed-order adds, aggregated on demand into a plain-value snapshot.
-//
-// The registry heap-allocates each worker's line individually so growing
-// (hybrid adds the shared-pool slot mid-run) never moves a line another
-// thread already holds a pointer to. ensure() itself is NOT safe
-// concurrently with add() — grow only between runs.
+// Always-on counters. A worker counts into plain integers in its own
+// WorkerObs lens (obs.hpp) and commits them to the hub after the join, so
+// the per-task path has no shared writes. Threads without a lens share one
+// atomic global line. CounterSnapshot is the plain-value view of both.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "support/align.hpp"
@@ -61,15 +57,14 @@ inline constexpr std::size_t kNumCounters = 15;
   return "?";
 }
 
-/// One worker's counters, padded so two workers never share a line.
-struct alignas(support::kCacheLineSize) WorkerCounters {
+/// The one shared counter line, for threads outside the worker set: the
+/// watchdog, the supervisor and the simulators' post-run resilience adds.
+/// Workers never touch it; they count into their own WorkerObs lens.
+struct alignas(support::kCacheLineSize) GlobalCounters {
   std::array<std::atomic<std::uint64_t>, kNumCounters> v{};
 
   void add(Counter c, std::uint64_t n = 1) noexcept {
     v[static_cast<std::size_t>(c)].fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t get(Counter c) const noexcept {
-    return v[static_cast<std::size_t>(c)].load(std::memory_order_relaxed);
   }
   void reset() noexcept {
     for (auto& a : v) a.store(0, std::memory_order_relaxed);
@@ -88,49 +83,6 @@ struct CounterSnapshot {
   [[nodiscard]] std::uint64_t worker_value(std::size_t w, Counter c) const {
     return workers[w][static_cast<std::size_t>(c)];
   }
-};
-
-class CounterRegistry {
- public:
-  /// Grows to at least `n` worker lines; existing lines keep their values
-  /// and their addresses.
-  void ensure(std::size_t n) {
-    while (lines_.size() < n) lines_.push_back(std::make_unique<WorkerCounters>());
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return lines_.size(); }
-  [[nodiscard]] WorkerCounters& worker(std::size_t w) noexcept { return *lines_[w]; }
-  [[nodiscard]] const WorkerCounters& worker(std::size_t w) const noexcept {
-    return *lines_[w];
-  }
-  /// Shared line for threads outside the worker set (watchdog, master
-  /// bookkeeping that has no slot).
-  [[nodiscard]] WorkerCounters& global() noexcept { return global_; }
-  [[nodiscard]] const WorkerCounters& global() const noexcept { return global_; }
-
-  [[nodiscard]] CounterSnapshot snapshot() const {
-    CounterSnapshot s;
-    s.workers.resize(lines_.size());
-    for (std::size_t w = 0; w < lines_.size(); ++w)
-      for (std::size_t c = 0; c < kNumCounters; ++c) {
-        s.workers[w][c] = lines_[w]->v[c].load(std::memory_order_relaxed);
-        s.totals[c] += s.workers[w][c];
-      }
-    for (std::size_t c = 0; c < kNumCounters; ++c) {
-      s.global[c] = global_.v[c].load(std::memory_order_relaxed);
-      s.totals[c] += s.global[c];
-    }
-    return s;
-  }
-
-  void reset() noexcept {
-    for (auto& line : lines_) line->reset();
-    global_.reset();
-  }
-
- private:
-  std::vector<std::unique_ptr<WorkerCounters>> lines_;
-  WorkerCounters global_;
 };
 
 }  // namespace rio::obs

@@ -1,18 +1,18 @@
 // rio::obs — the unified telemetry hub (docs/observability.md).
 //
-// One Hub per measured run (or swept series): it owns the per-worker
-// counter lines, the optional flight-recorder rings, and the committed
-// span-phase totals. Engines receive a `Hub*` through engine::Launch; a
-// null hub means telemetry off, and every per-event call below degrades
-// to a predicted branch on a null pointer — no locks, no allocation.
+// One Hub per measured run (or swept series): it owns the committed
+// per-worker counts and span-phase totals, the optional flight-recorder
+// rings and one atomic global counter line. Engines receive a `Hub*`
+// through engine::Launch; a null hub means nothing is exported.
 //
 // Worker threads never talk to the Hub directly on the hot path. Each
-// worker carries a plain `WorkerObs` lens bound once before the run: the
-// lens holds raw pointers to that worker's counter line and ring plus
-// local (unshared) phase accumulators, and commit() folds the locals back
-// into the hub after the worker loop ends. The watchdog thread, which has
-// no lens, uses the hub's global counter line and the mutex-protected
-// out-of-band instant list instead of the single-writer rings.
+// worker carries a plain `WorkerObs` lens, the only per-task telemetry
+// record: local counts and phase accumulators (always on, hub or not) plus
+// a raw pointer to the worker's ring. commit() adds the locals into the
+// hub after the join, and stats() derives the worker's RunStats entry from
+// the same locals. The watchdog and the supervisor, which have no lens,
+// use the hub's global counter line and the mutex-protected out-of-band
+// instant list instead of the single-writer rings.
 #pragma once
 
 #include <algorithm>
@@ -53,23 +53,30 @@ class Hub {
   /// Call between runs only; hybrid calls once per phase and the totals
   /// accumulate across phases.
   void ensure_workers(std::size_t n) {
-    counters_.ensure(n);
     if (recorder_) recorder_->ensure(n);
-    if (phase_totals_.size() < n) phase_totals_.resize(n);
+    if (phase_totals_.size() < n) {
+      phase_totals_.resize(n);
+      counts_.resize(n);
+    }
   }
 
   [[nodiscard]] std::size_t num_workers() const noexcept {
     return phase_totals_.size();
   }
 
-  [[nodiscard]] WorkerCounters* worker_counters(std::size_t w) noexcept {
-    return w < counters_.size() ? &counters_.worker(w) : nullptr;
-  }
-  [[nodiscard]] WorkerCounters& global_counters() noexcept {
-    return counters_.global();
-  }
+  [[nodiscard]] GlobalCounters& global_counters() noexcept { return global_; }
+  /// Plain-value copy of the committed counts and the global line. Call
+  /// only after the workers joined.
   [[nodiscard]] CounterSnapshot counter_snapshot() const {
-    return counters_.snapshot();
+    CounterSnapshot s;
+    s.workers = counts_;
+    for (const auto& w : counts_)
+      for (std::size_t c = 0; c < kNumCounters; ++c) s.totals[c] += w[c];
+    for (std::size_t c = 0; c < kNumCounters; ++c) {
+      s.global[c] = global_.v[c].load(std::memory_order_relaxed);
+      s.totals[c] += s.global[c];
+    }
+    return s;
   }
 
   [[nodiscard]] bool recorder_enabled() const noexcept {
@@ -94,13 +101,15 @@ class Hub {
     return recorder_ ? recorder_->stride() : 0;
   }
 
-  /// Accumulates (+=) one worker's span-phase totals. Workers reach this
-  /// through WorkerObs::commit after their loop; hybrid's phases stack up.
-  void commit_phases(std::size_t w,
-                     const std::uint64_t (&phases)[kNumSpanPhases]) {
+  /// Accumulates (+=) one worker's span-phase totals and counts. Workers
+  /// reach this through WorkerObs::commit after the join, which orders it
+  /// after every local add; hybrid's phases stack up.
+  void commit(std::size_t w, const std::uint64_t (&phases)[kNumSpanPhases],
+              const std::uint64_t (&counts)[kNumCounters]) {
     ensure_workers(w + 1);
     for (std::size_t i = 0; i < kNumSpanPhases; ++i)
       phase_totals_[w][i] += phases[i];
+    for (std::size_t c = 0; c < kNumCounters; ++c) counts_[w][c] += counts[c];
   }
 
   [[nodiscard]] const std::array<std::uint64_t, kNumSpanPhases>& phase_totals(
@@ -143,38 +152,44 @@ class Hub {
   [[nodiscard]] ClockUnit clock_unit() const noexcept { return clock_; }
 
   void reset() {
-    counters_.reset();
+    global_.reset();
     if (recorder_) recorder_->clear();
     for (auto& w : phase_totals_) w.fill(0);
+    for (auto& w : counts_) w.fill(0);
     const std::lock_guard<std::mutex> lock(oob_mu_);
     oob_.clear();
   }
 
  private:
   HubOptions opts_;
-  CounterRegistry counters_;
+  GlobalCounters global_;
   std::unique_ptr<Recorder> recorder_;
   std::vector<std::array<std::uint64_t, kNumSpanPhases>> phase_totals_;
+  std::vector<std::array<std::uint64_t, kNumCounters>> counts_;
   mutable std::mutex oob_mu_;
   std::vector<Event> oob_;
   ClockUnit clock_ = ClockUnit::kNanoseconds;
 };
 
-/// Engine-side per-worker lens. Lives in the worker's context (its own
-/// cache line there) or on its stack; every method is null-safe so the
-/// telemetry-off path costs a well-predicted branch and never allocates.
-/// Phase accumulators are local plain integers even when a hub is bound —
-/// the shared state is only touched in commit().
+/// Adds `n` to the hub's global line; a no-op without a hub.
+inline void count_global(Hub* hub, Counter c, std::uint64_t n = 1) noexcept {
+  if (hub != nullptr && n > 0) hub->global_counters().add(c, n);
+}
+
+/// Engine-side per-worker lens and the only per-task telemetry record.
+/// Lives in the worker's own state (a cache line of its own) or on its
+/// stack. Counts and phase accumulators are plain local integers, always
+/// kept; the ring pointer is null unless the recorder is on, so the
+/// recorder-off path never allocates. Shared state is only touched in
+/// commit().
 struct WorkerObs {
   std::uint64_t phase_ns[kNumSpanPhases] = {};
-  std::uint64_t spin_iters = 0;  ///< batched; flushed to kSpinIters in commit
-  WorkerCounters* counters = nullptr;
+  std::uint64_t counts[kNumCounters] = {};
   EventRing* ring = nullptr;
   std::uint32_t worker = 0;
 
   void bind(Hub* hub, std::uint32_t w) noexcept {
     worker = w;
-    counters = hub != nullptr ? hub->worker_counters(w) : nullptr;
     ring = hub != nullptr ? hub->ring(w) : nullptr;
   }
 
@@ -194,31 +209,50 @@ struct WorkerObs {
     if (ring != nullptr) ring->push(Event{ts, ts, task, worker, p});
   }
 
-  void count(Counter c, std::uint64_t n = 1) {
-    if (counters != nullptr) counters->add(c, n);
+  void count(Counter c, std::uint64_t n = 1) noexcept {
+    counts[static_cast<std::size_t>(c)] += n;
+  }
+  /// The counter's slot, for loops that batch into it (spin iterations).
+  [[nodiscard]] std::uint64_t& counter(Counter c) noexcept {
+    return counts[static_cast<std::size_t>(c)];
+  }
+  [[nodiscard]] std::uint64_t counter(Counter c) const noexcept {
+    return counts[static_cast<std::size_t>(c)];
   }
 
-  /// Flushes the batched spin iterations and the phase totals to `hub`
-  /// (null-safe). Call once, after the worker loop.
-  void commit(Hub* hub) {
-    if (counters != nullptr && spin_iters > 0) {
-      counters->add(Counter::kSpinIters, spin_iters);
-      spin_iters = 0;
-    }
-    if (hub != nullptr) hub->commit_phases(worker, phase_ns);
+  /// Charges the time no phase claims, up to `wall`, to kAcquireWait: a
+  /// thread with nothing left to do waits for the run to end.
+  void idle_until(std::uint64_t wall) noexcept {
+    std::uint64_t claimed = 0;
+    for (const std::uint64_t ns : phase_ns) claimed += ns;
+    if (wall > claimed)
+      phase_ns[static_cast<std::size_t>(Phase::kAcquireWait)] += wall - claimed;
   }
 
-  /// Derives the legacy TimeBuckets from the phase totals: task time is
-  /// the body phase, idle is acquire-wait + steal, and runtime overhead is
-  /// the wall remainder (release, rollback, mgmt and untimed loop glue).
-  [[nodiscard]] support::TimeBuckets buckets(std::uint64_t wall) const noexcept {
-    support::TimeBuckets b;
+  /// Adds the counts and phase totals into `hub` (null-safe). Call once,
+  /// after the worker joined.
+  void commit(Hub* hub) const {
+    if (hub != nullptr) hub->commit(worker, phase_ns, counts);
+  }
+
+  /// The worker's RunStats entry. Task time is the body phase, idle is
+  /// acquire-wait + steal, and runtime overhead is the wall remainder
+  /// (release, rollback, mgmt and untimed loop glue); an untimed run
+  /// passes wall 0 and gets zero buckets. `waits` is kProtocolWaits, which
+  /// every engine counts exactly where it records a kAcquireWait or kSteal
+  /// span.
+  [[nodiscard]] support::WorkerStats stats(std::uint64_t wall) const noexcept {
+    support::WorkerStats s;
+    support::TimeBuckets& b = s.buckets;
     b.task_ns = phase_ns[static_cast<std::size_t>(Phase::kBody)];
     b.idle_ns = phase_ns[static_cast<std::size_t>(Phase::kAcquireWait)] +
                 phase_ns[static_cast<std::size_t>(Phase::kSteal)];
     b.runtime_ns =
         wall > b.task_ns + b.idle_ns ? wall - b.task_ns - b.idle_ns : 0;
-    return b;
+    s.tasks_executed = counter(Counter::kTasksExecuted);
+    s.tasks_skipped = counter(Counter::kTasksSkipped);
+    s.waits = counter(Counter::kProtocolWaits);
+    return s;
   }
 };
 

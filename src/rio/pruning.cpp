@@ -123,6 +123,7 @@ support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
         const bool word_notify = !bells;
         std::atomic<std::uint64_t>* const bell =
             bells ? &arenas_.bells[w.self].value : nullptr;
+        std::uint64_t* const spins = &w.obs.counter(obs::Counter::kSpinIters);
         for (const std::uint32_t i : plan.tasks_for(w.self)) {
           const stf::FlowImage::Span s = spans[i];
           harness.execute(
@@ -138,8 +139,8 @@ support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
                   const std::uint64_t reads = plan.expected_reads(k);
                   w.await(d, writer, reads);
                   if (acquire_for(shared[d], writer, reads,
-                                  is_write(acc[k].mode), policy, abort,
-                                  &w.obs.spin_iters, bell))
+                                  is_write(acc[k].mode), policy, abort, spins,
+                                  bell))
                     acq.note(writer, d);
                 }
                 return acq;

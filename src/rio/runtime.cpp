@@ -63,6 +63,7 @@ struct Unroller {
     const std::atomic<bool>* abort = harness.abort_flag();
     std::atomic<std::uint64_t>* bell =
         bells ? &arenas.bells[w.self].value : nullptr;
+    std::uint64_t* spins = &w.obs.counter(obs::Counter::kSpinIters);
     harness.execute(
         w, task,
         [&] {
@@ -72,10 +73,8 @@ struct Unroller {
             w.await(a.data, l.last_registered_write, l.nb_reads_since_write);
             const bool waited =
                 is_write(a.mode)
-                    ? get_write(shared[a.data], l, policy, abort,
-                                &w.obs.spin_iters, bell)
-                    : get_read(shared[a.data], l, policy, abort,
-                               &w.obs.spin_iters, bell);
+                    ? get_write(shared[a.data], l, policy, abort, spins, bell)
+                    : get_read(shared[a.data], l, policy, abort, spins, bell);
             if (waited) acq.note(l.last_registered_write, a.data);
           }
           return acq;
@@ -108,7 +107,6 @@ struct Unroller {
       else
         declare_read(local[a.data]);
     }
-    if (launch.collect_stats) ++w.stats.tasks_skipped;
     w.obs.count(obs::Counter::kTasksSkipped);
   }
 };
@@ -211,8 +209,7 @@ support::RunStats Runtime::run(const stf::ImageRange& range,
           u.execute(range.task(i));
           if (u.w.dead) break;
         }
-        if (u.launch.collect_stats) u.w.stats.tasks_skipped += skipped;
-        if (skipped > 0) u.w.obs.count(obs::Counter::kTasksSkipped, skipped);
+        u.w.obs.count(obs::Counter::kTasksSkipped, skipped);
       });
 }
 

@@ -80,7 +80,6 @@ Report simulate_centralized(const stf::ImageRange& range,
   std::priority_queue<WItem, std::vector<WItem>, std::greater<>> free_workers;
   for (std::uint32_t w = 0; w < p; ++w) free_workers.emplace(0, w);
 
-  std::vector<support::WorkerStats> ws(p + 1);  // + master
   std::vector<std::uint64_t> finish(n, 0);
   std::uint64_t makespan = master_total;
   std::size_t executed = 0;
@@ -88,17 +87,17 @@ Report simulate_centralized(const stf::ImageRange& range,
   Report rep;
   SimFaults faults(params.faults, params.retry);
 
-  // Telemetry lenses (slot p = master), virtual-tick timestamps. Phase
-  // totals reproduce the ws buckets: kBody == task, kAcquireWait == idle,
-  // kMgmt == runtime (worker pops; master unroll).
+  // One telemetry lens per thread (slot p = master), the run's only
+  // record, with virtual-tick timestamps. Report::stats is derived from
+  // the lenses: kBody == task, kAcquireWait == idle, kMgmt == runtime
+  // (worker pops; master unroll).
   obs::Hub* hub = params.obs;
-  std::vector<obs::WorkerObs> obses;
   if (hub != nullptr) {
     hub->set_clock_unit(obs::ClockUnit::kTicks);
     hub->ensure_workers(p + 1);
-    obses.resize(p + 1);
-    for (std::uint32_t w = 0; w <= p; ++w) obses[w].bind(hub, w);
   }
+  std::vector<obs::WorkerObs> obses(p + 1);
+  for (std::uint32_t w = 0; w <= p; ++w) obses[w].bind(hub, w);
 
   while (executed < n) {
     RIO_ASSERT_MSG(!ready.empty(), "no ready task but flow incomplete");
@@ -107,7 +106,6 @@ Report simulate_centralized(const stf::ImageRange& range,
     const auto [wfree, w] = free_workers.top();
     free_workers.pop();
 
-    if (ready_time > wfree) ws[w].buckets.idle_ns += ready_time - wfree;
     const std::uint64_t start =
         std::max(ready_time, wfree) + params.worker_pop;
     std::uint64_t cost = exec_ticks(range.cost(t), scale);
@@ -126,34 +124,28 @@ Report simulate_centralized(const stf::ImageRange& range,
         params.replay_per_task, rep);
     const std::uint64_t fin = start + cost + recovery;
     finish[t] = fin;
-    ws[w].buckets.runtime_ns += params.worker_pop + recovery;
-    ws[w].buckets.task_ns += cost;
-    ++ws[w].tasks_executed;
     ++executed;
     makespan = std::max(makespan, fin);
     free_workers.emplace(fin, w);
 
-    if (hub != nullptr) {
-      obs::WorkerObs& ob = obses[w];
-      const auto id = static_cast<std::uint64_t>(range.task_id(t));
-      if (ready_time > wfree) {
-        // Dep-bound ready: blame the predecessor whose finish defined it;
-        // discovery-bound ready is the master's serialization (no cause).
-        const std::uint64_t cause =
-            dep_finish[t] >= discovery[t] && blocker[t] != stf::kInvalidTask
-                ? obs::make_cause(
-                      static_cast<std::uint64_t>(range.task_id(blocker[t])))
-                : obs::kNoCause;
-        ob.span(obs::Phase::kAcquireWait, id, wfree, ready_time, cause);
-        ob.count(obs::Counter::kProtocolWaits);
-      }
-      ob.span(obs::Phase::kMgmt, id, start - params.worker_pop, start);
-      ob.span(obs::Phase::kBody, id, start, start + cost);
-      if (recovery > 0)
-        ob.span(obs::Phase::kMgmt, id, start + cost, fin);
-      ob.count(obs::Counter::kQueuePops);
-      ob.count(obs::Counter::kTasksExecuted);
+    obs::WorkerObs& ob = obses[w];
+    const auto id = static_cast<std::uint64_t>(range.task_id(t));
+    if (ready_time > wfree) {
+      // Dep-bound ready: blame the predecessor whose finish defined it;
+      // discovery-bound ready is the master's serialization (no cause).
+      const std::uint64_t cause =
+          dep_finish[t] >= discovery[t] && blocker[t] != stf::kInvalidTask
+              ? obs::make_cause(
+                    static_cast<std::uint64_t>(range.task_id(blocker[t])))
+              : obs::kNoCause;
+      ob.span(obs::Phase::kAcquireWait, id, wfree, ready_time, cause);
+      ob.count(obs::Counter::kProtocolWaits);
     }
+    ob.span(obs::Phase::kMgmt, id, start - params.worker_pop, start);
+    ob.span(obs::Phase::kBody, id, start, start + cost);
+    if (recovery > 0) ob.span(obs::Phase::kMgmt, id, start + cost, fin);
+    ob.count(obs::Counter::kQueuePops);
+    ob.count(obs::Counter::kTasksExecuted);
 
     for (stf::TaskId s : graph.successors(t)) {
       const std::uint64_t reach = fin + params.cross_worker_latency;
@@ -166,42 +158,22 @@ Report simulate_centralized(const stf::ImageRange& range,
     }
   }
 
-  // Trailing idle for workers that finished before the makespan.
-  while (!free_workers.empty()) {
-    const auto [wfree, w] = free_workers.top();
-    free_workers.pop();
-    ws[w].buckets.idle_ns += makespan - wfree;
-    if (hub != nullptr)
-      obses[w].phase_ns[static_cast<std::size_t>(
-          obs::Phase::kAcquireWait)] += makespan - wfree;
-  }
   // Master accounting: pure management, then idle until the end.
-  ws[p].buckets.runtime_ns = master_total;
-  ws[p].buckets.idle_ns = makespan - master_total;
-
-  if (hub != nullptr) {
-    obs::WorkerObs& mob = obses[p];
-    mob.span(obs::Phase::kMgmt, obs::kNoTask, 0, master_total);
-    mob.phase_ns[static_cast<std::size_t>(obs::Phase::kAcquireWait)] +=
-        makespan - master_total;
-    mob.count(obs::Counter::kQueuePushes, n);
-    mob.count(obs::Counter::kWakeups, n);
-    for (std::uint32_t w = 0; w <= p; ++w) obses[w].commit(hub);
-    const std::uint64_t injected = rep.injected_stalls + rep.injected_throws;
-    if (injected > 0)
-      hub->global_counters().add(obs::Counter::kFaultsInjected, injected);
-    if (rep.retried_tasks > 0)
-      hub->global_counters().add(obs::Counter::kRetries, rep.retried_tasks);
-    if (rep.evictions > 0)
-      hub->global_counters().add(obs::Counter::kEvictions, rep.evictions);
-    if (rep.tasks_replayed > 0)
-      hub->global_counters().add(obs::Counter::kTasksReplayed,
-                                 rep.tasks_replayed);
+  obs::WorkerObs& mob = obses[p];
+  mob.span(obs::Phase::kMgmt, obs::kNoTask, 0, master_total);
+  mob.count(obs::Counter::kQueuePushes, n);
+  mob.count(obs::Counter::kWakeups, n);
+  // Every thread idles from its last task (or unroll) to the makespan.
+  rep.stats.workers.resize(p + 1);
+  for (std::uint32_t w = 0; w <= p; ++w) {
+    obses[w].idle_until(makespan);
+    obses[w].commit(hub);
+    rep.stats.workers[w] = obses[w].stats(makespan);
   }
+  count_resilience(hub, rep);
 
   rep.makespan = makespan;
   rep.total_threads = p + 1;
-  rep.stats.workers = std::move(ws);
   rep.stats.wall_ns = makespan;
   return rep;
 }

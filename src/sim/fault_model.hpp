@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "obs/obs.hpp"
 #include "support/fault.hpp"
 #include "sim/simulate.hpp"
 
@@ -85,5 +86,15 @@ class SimFaults {
   support::RetryPolicy retry_;
   bool active_;
 };
+
+/// Adds a finished run's resilience counters to the hub's global line (a
+/// no-op without a hub): they belong to the run, not to one worker.
+inline void count_resilience(obs::Hub* hub, const Report& rep) {
+  obs::count_global(hub, obs::Counter::kFaultsInjected,
+                    rep.injected_stalls + rep.injected_throws);
+  obs::count_global(hub, obs::Counter::kRetries, rep.retried_tasks);
+  obs::count_global(hub, obs::Counter::kEvictions, rep.evictions);
+  obs::count_global(hub, obs::Counter::kTasksReplayed, rep.tasks_replayed);
+}
 
 }  // namespace rio::sim

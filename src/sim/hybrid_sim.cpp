@@ -1,4 +1,5 @@
 #include "support/assert.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulate.hpp"
 
 namespace rio::sim {
@@ -32,6 +33,11 @@ Report simulate_hybrid(const stf::FlowImage& image,
   Report total;
   total.total_threads = p + 1;  // p workers + the dynamic phases' master
   total.stats.workers.resize(p + 1);
+  // The master-capable thread idles through static phases. Its lens is
+  // slot p, the slot the dynamic phases' master uses too.
+  obs::WorkerObs idle_master;
+  idle_master.bind(dparams.obs, p);
+  std::uint64_t static_ticks = 0;
 
   for (const auto& ph : phases) {
     if (ph.count == 0) continue;
@@ -40,8 +46,7 @@ Report simulate_hybrid(const stf::FlowImage& image,
     if (ph.kind == hybrid::Phase::Kind::kStatic) {
       RIO_ASSERT(ph.mapping.valid());
       rep = simulate_decentralized(range, ph.mapping, dparams, scale);
-      // The master-capable thread idles through static phases.
-      total.stats.workers[p].buckets.idle_ns += rep.makespan;
+      static_ticks += rep.makespan;
     } else {
       rep = simulate_centralized(range, cparams, scale);
     }
@@ -52,15 +57,12 @@ Report simulate_hybrid(const stf::FlowImage& image,
     total.failed_tasks += rep.failed_tasks;
     total.evictions += rep.evictions;
     total.tasks_replayed += rep.tasks_replayed;
-    for (std::size_t w = 0; w < rep.stats.workers.size(); ++w) {
-      auto& dst = total.stats.workers[w < p ? w : p];
-      const auto& src = rep.stats.workers[w];
-      dst.buckets += src.buckets;
-      dst.tasks_executed += src.tasks_executed;
-      dst.tasks_skipped += src.tasks_skipped;
-      dst.waits += src.waits;
-    }
+    for (std::size_t w = 0; w < rep.stats.workers.size(); ++w)
+      total.stats.workers[w < p ? w : p] += rep.stats.workers[w];
   }
+  idle_master.idle_until(static_ticks);
+  idle_master.commit(dparams.obs);
+  total.stats.workers[p] += idle_master.stats(static_ticks);
   total.stats.wall_ns = total.makespan;
   return total;
 }

@@ -60,23 +60,22 @@ Report simulate_decentralized(const stf::ImageRange& range,
   std::uint64_t prefix = 0;                 // S(t): skip cost of tasks < t
   std::vector<std::int64_t> delta(p, 0);    // cursor_w = S(t) + delta_w
   std::vector<std::uint64_t> finish(n, 0);
-  std::vector<support::WorkerStats> ws(p);
   std::vector<std::uint64_t> own_skip(p, 0);  // skip cost of own tasks
 
   Report rep;
   SimFaults faults(params.faults, params.retry);
 
-  // Telemetry lenses: timestamps are virtual ticks, same schema as the real
-  // runtimes (docs/observability.md). Phase totals reproduce the ws buckets
-  // exactly: kBody == task, kAcquireWait == idle, kMgmt == runtime.
+  // One telemetry lens per worker, the run's only record: timestamps are
+  // virtual ticks, same schema as the real runtimes
+  // (docs/observability.md), and Report::stats is derived from the lenses
+  // (kBody == task, kAcquireWait == idle, kMgmt == runtime).
   obs::Hub* hub = params.obs;
-  std::vector<obs::WorkerObs> obses;
   if (hub != nullptr) {
     hub->set_clock_unit(obs::ClockUnit::kTicks);
     hub->ensure_workers(p);
-    obses.resize(p);
-    for (std::uint32_t w = 0; w < p; ++w) obses[w].bind(hub, w);
   }
+  std::vector<obs::WorkerObs> obses(p);
+  for (std::uint32_t w = 0; w < p; ++w) obses[w].bind(hub, w);
 
   for (stf::TaskId t = 0; t < n; ++t) {
     const auto num_acc = static_cast<std::uint64_t>(range.num_accesses(t));
@@ -123,34 +122,24 @@ Report simulate_decentralized(const stf::ImageRange& range,
     const std::uint64_t fin = start + cost + recovery;
     finish[t] = fin;
 
-    ws[w].buckets.task_ns += cost;
-    ws[w].buckets.runtime_ns += own_cost + recovery;
-    if (start > after_overhead) {
-      ws[w].buckets.idle_ns += start - after_overhead;
-      ++ws[w].waits;
-    }
-    ++ws[w].tasks_executed;
     own_skip[w] += skip_cost;
 
-    if (hub != nullptr) {
-      obs::WorkerObs& ob = obses[w];
-      const auto id = static_cast<std::uint64_t>(range.task_id(t));
-      ob.span(obs::Phase::kMgmt, id, arrival, after_overhead);
-      if (start > after_overhead) {
-        // Dep-bound start: the argmax predecessor is the exact cause.
-        const std::uint64_t cause =
-            blocker == stf::kInvalidTask
-                ? obs::kNoCause
-                : obs::make_cause(
-                      static_cast<std::uint64_t>(range.task_id(blocker)));
-        ob.span(obs::Phase::kAcquireWait, id, after_overhead, start, cause);
-        ob.count(obs::Counter::kProtocolWaits);
-      }
-      ob.span(obs::Phase::kBody, id, start, start + cost);
-      if (recovery > 0)
-        ob.span(obs::Phase::kMgmt, id, start + cost, fin);
-      ob.count(obs::Counter::kTasksExecuted);
+    obs::WorkerObs& ob = obses[w];
+    const auto id = static_cast<std::uint64_t>(range.task_id(t));
+    ob.span(obs::Phase::kMgmt, id, arrival, after_overhead);
+    if (start > after_overhead) {
+      // Dep-bound start: the argmax predecessor is the exact cause.
+      const std::uint64_t cause =
+          blocker == stf::kInvalidTask
+              ? obs::kNoCause
+              : obs::make_cause(
+                    static_cast<std::uint64_t>(range.task_id(blocker)));
+      ob.span(obs::Phase::kAcquireWait, id, after_overhead, start, cause);
+      ob.count(obs::Counter::kProtocolWaits);
     }
+    ob.span(obs::Phase::kBody, id, start, start + cost);
+    if (recovery > 0) ob.span(obs::Phase::kMgmt, id, start + cost, fin);
+    ob.count(obs::Counter::kTasksExecuted);
 
     prefix += skip_cost + recovery;  // S(t+1); recovery stalls everyone
     own_skip[w] += recovery;         // ...but the owner already paid in fin
@@ -158,59 +147,33 @@ Report simulate_decentralized(const stf::ImageRange& range,
                static_cast<std::int64_t>(prefix);
   }
 
-  // Foreign-task skip costs are runtime management; a worker pays the
-  // global prefix minus the skip cost of its own tasks.
-  for (std::uint32_t w = 0; w < p; ++w) {
-    ws[w].buckets.runtime_ns += prefix - own_skip[w];
-    ws[w].tasks_skipped = n - ws[w].tasks_executed;
-    if (params.pruned) ws[w].tasks_skipped = 0;
-  }
+  // Makespan (workers that finish early wait for the slowest — exactly the
+  // tau_p = p * t_p accounting of Section 2.3).
+  const auto makespan = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(prefix) +
+      *std::max_element(delta.begin(), delta.end()));
 
-  // Makespan and trailing idle (workers that finish early wait for the
-  // slowest — exactly the tau_p = p * t_p accounting of Section 2.3).
-  std::uint64_t makespan = 0;
+  rep.stats.workers.resize(p);
   for (std::uint32_t w = 0; w < p; ++w) {
-    const auto cursor = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(prefix) + delta[w]);
-    makespan = std::max(makespan, cursor);
+    obs::WorkerObs& ob = obses[w];
+    // Foreign-task skip costs are runtime management: a worker pays the
+    // global prefix minus the skip cost of its own tasks. They and the
+    // trailing idle have no span of their own; folding them into the phase
+    // totals keeps the tick identity (kBody + kAcquireWait + kMgmt ==
+    // makespan per worker) exact.
+    ob.phase_ns[static_cast<std::size_t>(obs::Phase::kMgmt)] +=
+        prefix - own_skip[w];
+    ob.idle_until(makespan);
+    if (!params.pruned)
+      ob.count(obs::Counter::kTasksSkipped,
+               n - ob.counter(obs::Counter::kTasksExecuted));
+    ob.commit(hub);
+    rep.stats.workers[w] = ob.stats(makespan);
   }
-  for (std::uint32_t w = 0; w < p; ++w) {
-    const auto cursor = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(prefix) + delta[w]);
-    ws[w].buckets.idle_ns += makespan - cursor;
-  }
-
-  if (hub != nullptr) {
-    for (std::uint32_t w = 0; w < p; ++w) {
-      obs::WorkerObs& ob = obses[w];
-      // Foreign-task skip management and trailing idle have no span of their
-      // own; fold them straight into the phase totals so the tick identity
-      // (kBody + kAcquireWait + kMgmt == makespan per worker) holds exactly.
-      const auto cursor = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(prefix) + delta[w]);
-      ob.phase_ns[static_cast<std::size_t>(obs::Phase::kMgmt)] +=
-          prefix - own_skip[w];
-      ob.phase_ns[static_cast<std::size_t>(obs::Phase::kAcquireWait)] +=
-          makespan - cursor;
-      if (ws[w].tasks_skipped > 0)
-        ob.count(obs::Counter::kTasksSkipped, ws[w].tasks_skipped);
-      ob.commit(hub);
-    }
-    const std::uint64_t injected = rep.injected_stalls + rep.injected_throws;
-    if (injected > 0)
-      hub->global_counters().add(obs::Counter::kFaultsInjected, injected);
-    if (rep.retried_tasks > 0)
-      hub->global_counters().add(obs::Counter::kRetries, rep.retried_tasks);
-    if (rep.evictions > 0)
-      hub->global_counters().add(obs::Counter::kEvictions, rep.evictions);
-    if (rep.tasks_replayed > 0)
-      hub->global_counters().add(obs::Counter::kTasksReplayed,
-                                 rep.tasks_replayed);
-  }
+  count_resilience(hub, rep);
 
   rep.makespan = makespan;
   rep.total_threads = p;
-  rep.stats.workers = std::move(ws);
   rep.stats.wall_ns = makespan;
   return rep;
 }

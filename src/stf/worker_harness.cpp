@@ -76,8 +76,7 @@ void WorkerHarness::arm() {
   watchdog_ = std::make_unique<support::Watchdog>(
       watchdog_ns_,
       [this, hub]() noexcept {
-        if (hub != nullptr)
-          hub->global_counters().add(obs::Counter::kWatchdogProbes);
+        obs::count_global(hub, obs::Counter::kWatchdogProbes);
         std::uint64_t sum = 0;
         for (const support::WorkerProbe& p : probes_)
           sum += p.progress.load(std::memory_order_relaxed);
@@ -124,12 +123,17 @@ support::RunStats WorkerHarness::finish(std::uint64_t wall_ns,
     trace_out.reserve(trace_reserve);
   for (std::size_t t = 0; t < workers_.size(); ++t) {
     HarnessWorker& w = workers_[t];
-    // The tau buckets are DERIVED from the obs phase accumulators: task
-    // time is the body phase, idle the acquire-wait stalls, and whatever
-    // was neither is runtime management.
-    if (launch_.collect_stats) w.stats.buckets = w.obs.buckets(w.wall_ns);
+    // Each RunStats entry is DERIVED from the worker's lens: its counts,
+    // and tau buckets from its phase totals. A thread that executes no
+    // tasks (coor's master) idles outside its recorded phases until the
+    // whole run ends.
+    std::uint64_t wall = w.timed ? w.wall_ns : 0;
+    if (t >= launch_.workers && w.timed) {
+      w.obs.idle_until(wall_ns);
+      wall = wall_ns;
+    }
+    stats.workers[t] = w.obs.stats(wall);
     w.obs.commit(launch_.obs);
-    stats.workers[t] = w.stats;
     for (const TraceEvent& ev : w.trace) trace_out.record(ev);
     for (const SyncEvent& ev : w.sync) sync_out.record(ev);
   }

@@ -37,6 +37,7 @@
 
 #include "engine/launch.hpp"
 #include "obs/obs.hpp"
+#include "support/align.hpp"
 #include "support/clock.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
@@ -74,13 +75,14 @@ struct ReleaseTally {
   std::optional<std::uint64_t> issued;
 };
 
-/// One forked thread's private state. Lives in the harness for the run.
-struct HarnessWorker {
+/// One forked thread's private state. Lives in the harness for the run,
+/// on cache lines of its own: the per-task counts and phase sums in `obs`
+/// are plain writes that no other thread may share a line with.
+struct alignas(support::kCacheLineSize) HarnessWorker {
   WorkerId self = 0;
   bool timed = false;  ///< per-task clock reads wanted (stats/trace/recorder)
   bool dead = false;   ///< crashed in execute(): the walk must stop
-  obs::WorkerObs obs;
-  support::WorkerStats stats;
+  obs::WorkerObs obs;  ///< the worker's only counts and phase totals
   support::WorkerProbe* probe = nullptr;  ///< null unless watched
   ResilienceOpts res;
   DataSnapshot snapshot;  ///< rollback arena / dirty spans of a death
@@ -250,7 +252,6 @@ inline void WorkerHarness::execute(HarnessWorker& w, const Task& task,
       w.obs.span(obs::Phase::kAcquireWait, task.id, wait_begin,
                  support::monotonic_ns(), acq.cause);
     w.obs.count(obs::Counter::kProtocolWaits);
-    if (launch_.collect_stats) ++w.stats.waits;
   }
   // Acquire stamps are drawn AFTER every wait completed, so each observed
   // release (stamped before its publish) sorts strictly earlier — the
@@ -303,7 +304,6 @@ inline void WorkerHarness::execute(HarnessWorker& w, const Task& task,
   w.obs.count(obs::Counter::kTasksExecuted);
   if (w.probe != nullptr)
     w.probe->progress.fetch_add(1, std::memory_order_relaxed);
-  if (launch_.collect_stats) ++w.stats.tasks_executed;
 }
 
 }  // namespace rio::stf

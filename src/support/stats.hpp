@@ -47,6 +47,15 @@ struct WorkerStats {
   std::uint64_t tasks_executed = 0;  ///< tasks this worker ran
   std::uint64_t tasks_skipped = 0;   ///< tasks declared-only (RIO) / n.a.
   std::uint64_t waits = 0;           ///< dependency stalls encountered
+
+  /// Accumulates another slice of the same worker (hybrid phases).
+  WorkerStats& operator+=(const WorkerStats& o) noexcept {
+    buckets += o.buckets;
+    tasks_executed += o.tasks_executed;
+    tasks_skipped += o.tasks_skipped;
+    waits += o.waits;
+    return *this;
+  }
 };
 
 /// Whole-run report: per-worker stats plus the wall-clock makespan.

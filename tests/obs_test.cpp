@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coor/coor.hpp"
@@ -145,11 +147,17 @@ TEST(ObsDisabled, UnboundLensNeverAllocates) {
     ob.span(obs::Phase::kBody, 7, 10, 20);
     ob.instant(obs::Phase::kFaultInjected, 7, 15);
     ob.count(obs::Counter::kTasksExecuted);
-    ob.spin_iters += 3;
+    ob.counter(obs::Counter::kSpinIters) += 3;
   }
   ob.commit(nullptr);
+  const support::WorkerStats stats = ob.stats(20000);
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before);
-  EXPECT_EQ(ob.phase_ns[kBodyIdx], 10000u);  // locals still accumulate
+  // Locals still accumulate, and the stats derive from them.
+  EXPECT_EQ(ob.phase_ns[kBodyIdx], 10000u);
+  EXPECT_EQ(ob.counter(obs::Counter::kSpinIters), 3000u);
+  EXPECT_EQ(stats.tasks_executed, 1000u);
+  EXPECT_EQ(stats.buckets.task_ns, 10000u);
+  EXPECT_EQ(stats.buckets.runtime_ns, 10000u);
 }
 
 TEST(ObsDisabled, BoundLensEventsNeverAllocate) {
@@ -315,6 +323,33 @@ TEST(ObsReconcile, RetryCountersMatchInjector) {
   EXPECT_EQ(snap.total(obs::Counter::kFaultsInjected), 2u);
 }
 
+TEST(ObsReconcile, WatchdogProbesLandOnTheGlobalLine) {
+  // The watchdog polls from its own thread while the workers count into
+  // their lenses: its probes go to the hub's atomic global line, never to a
+  // worker slot, and the workers' committed counts still match RunStats.
+  stf::TaskFlow flow;
+  for (int i = 0; i < 40; ++i)
+    flow.add("nap", [](stf::TaskContext&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }, {});
+  obs::Hub hub;
+  rt::Runtime eng(engine::Launch{.workers = 2,
+                                 .watchdog_ns = 40'000'000,
+                                 .obs = &hub});
+  const auto stats =
+      eng.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
+  const obs::CounterSnapshot snap = hub.counter_snapshot();
+  EXPECT_GT(snap.global[static_cast<std::size_t>(
+                obs::Counter::kWatchdogProbes)],
+            0u);
+  for (std::uint32_t w = 0; w < 2; ++w) {
+    EXPECT_EQ(snap.worker_value(w, obs::Counter::kWatchdogProbes), 0u);
+    EXPECT_EQ(snap.worker_value(w, obs::Counter::kTasksExecuted),
+              stats.workers[w].tasks_executed);
+  }
+  EXPECT_EQ(stats.tasks_executed(), 40u);
+}
+
 // ------------------------------------------------------- registry matrix ---
 
 TEST(ObsMatrix, EverySupportsObsBackendPopulatesTheHub) {
@@ -322,6 +357,11 @@ TEST(ObsMatrix, EverySupportsObsBackendPopulatesTheHub) {
   // virtual-time, present or future — must wire a Launch's hub through to
   // its workers. Catches a backend that registers the flag but drops the
   // obs pointer on the floor when translating Launch to its native config.
+  //
+  // It also pins down the single per-worker record: in every slot,
+  // RunStats' counts are the hub's committed counters, its buckets follow
+  // from the committed phase totals, and kProtocolWaits counts exactly the
+  // recorded kAcquireWait + kSteal spans.
   for (const engine::Backend* backend : engine::Registry::instance().all()) {
     const engine::Capabilities& caps = backend->caps();
     if (!caps.supports_obs) continue;
@@ -334,13 +374,47 @@ TEST(ObsMatrix, EverySupportsObsBackendPopulatesTheHub) {
     launch.workers = p;
     launch.obs = &hub;
     if (caps.needs_mapping) launch.mapping = wl.mapping(p);
-    (void)backend->run(stf::FlowImage::compile(wl.flow), launch);
+    const engine::Outcome out =
+        backend->run(stf::FlowImage::compile(wl.flow), launch);
 
     EXPECT_EQ(hub.num_workers(), caps.has_master ? p + 1 : p);
     if (caps.virtual_time)
       EXPECT_EQ(hub.clock_unit(), obs::ClockUnit::kTicks);
     EXPECT_EQ(hub.counter_snapshot().total(obs::Counter::kTasksExecuted),
               wl.flow.num_tasks());
+
+    ASSERT_EQ(hub.dropped(), 0u);
+    ASSERT_EQ(out.stats.workers.size(), hub.num_workers());
+    std::vector<std::uint64_t> wait_spans(hub.num_workers(), 0);
+    for (const obs::Event& ev : hub.drain_events())
+      if (ev.phase == obs::Phase::kAcquireWait || ev.phase == obs::Phase::kSteal)
+        ++wait_spans[ev.worker];
+    const obs::CounterSnapshot snap = hub.counter_snapshot();
+    for (std::size_t w = 0; w < hub.num_workers(); ++w) {
+      SCOPED_TRACE("worker " + std::to_string(w));
+      const support::WorkerStats& s = out.stats.workers[w];
+      EXPECT_EQ(s.tasks_executed,
+                snap.worker_value(w, obs::Counter::kTasksExecuted));
+      EXPECT_EQ(s.tasks_skipped,
+                snap.worker_value(w, obs::Counter::kTasksSkipped));
+      EXPECT_EQ(s.waits, snap.worker_value(w, obs::Counter::kProtocolWaits));
+      EXPECT_EQ(snap.worker_value(w, obs::Counter::kProtocolWaits),
+                wait_spans[w]);
+
+      const auto& ph = hub.phase_totals(w);
+      EXPECT_EQ(s.buckets.task_ns, ph[kBodyIdx]);
+      EXPECT_EQ(s.buckets.idle_ns, ph[kWaitIdx] + ph[kStealIdx]);
+      // Runtime is the wall remainder: it covers every other phase, and on
+      // a virtual clock nothing but those phases.
+      std::uint64_t other = 0;
+      for (std::size_t i = 0; i < obs::kNumSpanPhases; ++i)
+        if (i != kBodyIdx && i != kWaitIdx && i != kStealIdx) other += ph[i];
+      if (caps.virtual_time) {
+        EXPECT_EQ(s.buckets.runtime_ns, other);
+      } else {
+        EXPECT_GE(s.buckets.runtime_ns, other);
+      }
+    }
   }
 }
 

@@ -67,19 +67,26 @@ TEST(DataObject, TerminateReadCounts) {
 // ------------------------------------------------------ basic execution ----
 
 TEST(Runtime, ExecutesEveryTaskExactlyOnce) {
-  stf::TaskFlow flow;
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 100; ++i)
-    flow.add("t", [&hits](stf::TaskContext&) { hits.fetch_add(1); }, {});
-  Runtime rt(engine::Launch{.workers = 4});
-  auto stats =
-      rt.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(4));
-  EXPECT_EQ(hits.load(), 100);
-  EXPECT_EQ(stats.tasks_executed(), 100u);
-  // Everyone else declared the rest: (p-1) skips per task.
-  std::uint64_t skipped = 0;
-  for (auto& w : stats.workers) skipped += w.tasks_skipped;
-  EXPECT_EQ(skipped, 300u);
+  // The counts are exact whether or not the run is timed or observed.
+  for (const bool timed : {true, false}) {
+    SCOPED_TRACE(timed ? "collect_stats" : "untimed, no hub");
+    stf::TaskFlow flow;
+    std::atomic<int> hits{0};
+    for (int i = 0; i < 100; ++i)
+      flow.add("t", [&hits](stf::TaskContext&) { hits.fetch_add(1); }, {});
+    Runtime rt(engine::Launch{.workers = 4, .collect_stats = timed});
+    auto stats =
+        rt.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(4));
+    EXPECT_EQ(hits.load(), 100);
+    EXPECT_EQ(stats.tasks_executed(), 100u);
+    // Everyone else declared the rest: (p-1) skips per task.
+    std::uint64_t skipped = 0;
+    for (auto& w : stats.workers) skipped += w.tasks_skipped;
+    EXPECT_EQ(skipped, 300u);
+    if (!timed) {
+      EXPECT_EQ(stats.cumulative().total(), 0u);
+    }
+  }
 }
 
 TEST(Runtime, SingleWorkerDegeneratesToSequential) {

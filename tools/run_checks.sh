@@ -41,16 +41,19 @@
 #      (the wait-free MPMC ready ring), and every engine again with
 #      --recover (crash + evicted-resume two-phase exploration);
 #  14. ThreadSanitizer pass (skipped with RIO_SKIP_TSAN=1): rebuilds the
-#      failure + engine suites, the model checker and rioflow with
-#      RIO_SANITIZE=thread and reruns the resilience tests (incl. the
-#      recovery + crash-fuzz suites), the engine suite (incl. concurrent
-#      callers sharing rio-pruned's session plan cache), the modelcheck
-#      suite, the quick chaos sweeps (transient
-#      AND crash kinds) and the new wait/notify configurations
-#      (block-policy doorbells, coor --queue ring) under TSan — the retry
-#      / watchdog / abort / eviction machinery, the controlled scheduler
-#      and the new lock-free primitives are exactly the kind of code TSan
-#      earns its keep on;
+#      failure, engine, obs and causal suites, the model checker and
+#      rioflow with RIO_SANITIZE=thread and reruns the resilience tests
+#      (incl. the recovery + crash-fuzz suites), the engine suite (incl.
+#      concurrent callers sharing rio-pruned's session plan cache), the
+#      obs and causal suites (the workers' plain per-task counts and phase
+#      totals reach the hub only through commits ordered by the join,
+#      incl. hybrid's cross-phase accumulation, while the watchdog adds to
+#      the hub's atomic global line), the modelcheck suite, the quick chaos
+#      sweeps (transient AND crash kinds) and the new wait/notify
+#      configurations (block-policy doorbells, coor --queue ring) under
+#      TSan — the retry / watchdog / abort / eviction machinery, the
+#      controlled scheduler and the new lock-free primitives are exactly
+#      the kind of code TSan earns its keep on;
 #  15. AddressSanitizer + UndefinedBehaviorSanitizer pass (skipped with
 #      RIO_SKIP_ASAN=1): rebuilds with RIO_SANITIZE=address,undefined and
 #      runs the engine, failure, fuzz, flowpass, coor, rio and hybrid
@@ -344,7 +347,7 @@ else
   fail "verify --quick --json"
 fi
 
-step "thread sanitizer: resilience, engine + modelcheck suites, quick chaos"
+step "thread sanitizer: resilience, engine, obs, causal + modelcheck suites, quick chaos"
 if [ "${RIO_SKIP_TSAN:-0}" = "1" ]; then
   echo "RIO_SKIP_TSAN=1; skipping"
 else
@@ -352,12 +355,15 @@ else
   if cmake -B "$TSAN_BUILD" -S "$ROOT" -DRIO_SANITIZE=thread \
        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null &&
      cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-       --target failure_test engine_test modelcheck_test rioflow \
-       >/dev/null; then
+       --target failure_test engine_test obs_test causal_test \
+         modelcheck_test rioflow >/dev/null; then
     "$TSAN_BUILD/tests/failure_test" >/dev/null ||
       fail "failure_test under TSan"
     "$TSAN_BUILD/tests/engine_test" >/dev/null ||
       fail "engine_test under TSan"
+    "$TSAN_BUILD/tests/obs_test" >/dev/null || fail "obs_test under TSan"
+    "$TSAN_BUILD/tests/causal_test" >/dev/null ||
+      fail "causal_test under TSan"
     "$TSAN_BUILD/tests/modelcheck_test" >/dev/null ||
       fail "modelcheck_test under TSan"
     "$TSAN_BUILD/rioflow" chaos --quick --workers 2 >/dev/null ||
