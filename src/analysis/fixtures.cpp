@@ -132,23 +132,13 @@ RaceFixture injected_race() {
   fx.flow.add_virtual(10, {write(d)}, "writer-b");
 
   // Disjoint intervals ([0,10) then [20,30)) in dependency order: the
-  // interval-overlap validator is satisfied.
+  // interval-overlap validator is satisfied. But the stamps say writer-b
+  // acquired (1) BEFORE writer-a released (2): nothing ordered the two
+  // bodies — a race the wall clock happened to hide.
   fx.trace.record({/*task=*/0, /*worker=*/0, /*start=*/0, /*end=*/10,
-                   /*seq=*/0});
+                   /*seq=*/2, /*acquire=*/0});
   fx.trace.record({/*task=*/1, /*worker=*/1, /*start=*/20, /*end=*/30,
-                   /*seq=*/1});
-
-  // But the sync order says writer-b acquired BEFORE writer-a released:
-  // nothing ordered the two bodies — a race the wall clock happened to
-  // hide.
-  fx.sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-                  stf::SyncKind::kAcquire, /*stamp=*/0});
-  fx.sync.record({1, 1, d.id, stf::AccessMode::kWrite,
-                  stf::SyncKind::kAcquire, /*stamp=*/1});
-  fx.sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-                  stf::SyncKind::kRelease, /*stamp=*/2});
-  fx.sync.record({1, 1, d.id, stf::AccessMode::kWrite,
-                  stf::SyncKind::kRelease, /*stamp=*/3});
+                   /*seq=*/3, /*acquire=*/1});
   return fx;
 }
 

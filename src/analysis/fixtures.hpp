@@ -3,9 +3,9 @@
 // Each fixture is deliberately minimal: one hazard, a couple of tasks, so a
 // test (or `rioflow lint --workload lintfix:<name>`) can assert that the
 // analyzer reports exactly the expected finding code. The race fixture also
-// carries a hand-built Trace/SyncTrace pair whose wall-clock intervals are
-// disjoint — the interval overlap test passes while the happens-before
-// checker must still report the race.
+// carries a hand-built Trace whose wall-clock intervals are disjoint — the
+// interval overlap test passes while the happens-before checker, reading
+// the same events' acquire/release stamps, must still report the race.
 #pragma once
 
 #include <vector>
@@ -33,12 +33,11 @@ namespace rio::analysis::fixtures {
 [[nodiscard]] stf::TaskFlow bad_tiny_tasks();
 
 /// RC301 material: two unordered writes whose recorded intervals do not
-/// overlap. `trace` passes Trace::validate (the interval test); `sync`
-/// makes check_happens_before report the race.
+/// overlap. `trace` passes Trace::validate (the interval test), and its
+/// stamps make check_happens_before report the race.
 struct RaceFixture {
   stf::TaskFlow flow;
   stf::Trace trace;
-  stf::SyncTrace sync;
 };
 [[nodiscard]] RaceFixture injected_race();
 

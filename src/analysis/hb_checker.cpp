@@ -27,29 +27,39 @@ std::string data_ref(const stf::TaskFlow& flow, stf::DataId d) {
 
 }  // namespace
 
-Report check_happens_before(const stf::TaskFlow& flow,
-                            const stf::SyncTrace& sync,
+Report check_happens_before(const stf::TaskFlow& flow, const stf::Trace& trace,
                             const HbOptions& opts) {
   Report report;
-  if (sync.empty()) {
+  if (trace.empty()) {
     report.add("RC302", Severity::kWarning,
-               "no synchronization events recorded; run the engine with "
-               "collect_sync enabled");
+               "no trace events recorded; run the engine with "
+               "collect_trace enabled");
     return report;
   }
 
-  std::vector<stf::SyncEvent> events = sync.events();
-  std::sort(events.begin(), events.end(),
-            [](const stf::SyncEvent& a, const stf::SyncEvent& b) {
-              return a.stamp < b.stamp;
-            });
-
-  stf::WorkerId max_worker = 0;
-  for (const stf::SyncEvent& ev : events)
-    max_worker = std::max(max_worker, ev.worker);
-  const std::size_t W = static_cast<std::size_t>(max_worker) + 1;
   const std::size_t n_tasks = flow.num_tasks();
   const std::size_t n_data = flow.num_data();
+
+  // Each event contributes two points, its acquire and its release stamp;
+  // replay them in stamp order (an acquire before a release on a tie).
+  struct Point {
+    std::uint64_t stamp;
+    bool release;
+    const stf::TraceEvent* ev;
+  };
+  std::vector<Point> points;
+  points.reserve(2 * trace.size());
+  stf::WorkerId max_worker = 0;
+  for (const stf::TraceEvent& ev : trace.events()) {
+    if (ev.task >= n_tasks) continue;  // foreign event
+    max_worker = std::max(max_worker, ev.worker);
+    points.push_back({ev.acquire, false, &ev});
+    points.push_back({ev.seq, true, &ev});
+  }
+  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
+    return a.stamp != b.stamp ? a.stamp < b.stamp : !a.release && b.release;
+  });
+  const std::size_t W = static_cast<std::size_t>(max_worker) + 1;
 
   // Per-worker current clock; own component starts at 1 so epoch 0 means
   // "never observed".
@@ -63,38 +73,38 @@ Report check_happens_before(const stf::TaskFlow& flow,
   std::vector<stf::WorkerId> task_worker(n_tasks, stf::kInvalidWorker);
   std::vector<std::uint64_t> task_epoch(n_tasks, 0);
   Clocks task_acq(n_tasks, W);
-  std::vector<stf::TaskId> current(W, stf::kInvalidTask);
 
-  for (const stf::SyncEvent& ev : events) {
-    if (ev.task >= n_tasks || ev.data >= n_data) continue;  // foreign event
-    const std::size_t w = ev.worker;
-    if (current[w] != ev.task) {
-      // First event of a new task on this worker: open a fresh epoch.
-      current[w] = ev.task;
+  for (const Point& pt : points) {
+    const stf::TaskId t = pt.ev->task;
+    const std::size_t w = pt.ev->worker;
+    const auto& accesses = flow.task(t).accesses;
+    if (!pt.release) {
+      // The task's acquire opens a fresh epoch on its worker, then
+      // synchronizes with the releases its dependency waits could have
+      // observed: prior writes of every accessed object always; prior
+      // reads too for the objects it writes.
       std::uint64_t* c = worker_clock.row(w);
       ++c[w];
-      task_worker[ev.task] = ev.worker;
-      task_epoch[ev.task] = c[w];
-    }
-    if (ev.kind == stf::SyncKind::kAcquire) {
-      // Completing a dependency wait on `data` synchronizes with the
-      // releases the wait could have observed: prior writes always; prior
-      // reads too when this access is itself a write.
-      worker_clock.join(w, write_rel.row(ev.data));
-      if (stf::is_write(ev.mode))
-        worker_clock.join(w, read_rel.row(ev.data));
-      task_acq.assign(ev.task, worker_clock.row(w));
+      task_worker[t] = pt.ev->worker;
+      task_epoch[t] = c[w];
+      for (const stf::Access& a : accesses) {
+        worker_clock.join(w, write_rel.row(a.data));
+        if (stf::is_write(a.mode)) worker_clock.join(w, read_rel.row(a.data));
+      }
+      task_acq.assign(t, worker_clock.row(w));
     } else {
       // Releases are stamped after the body: publishing into the per-data
       // clocks here is what lets successors order after this whole task.
-      if (stf::is_write(ev.mode))
-        write_rel.join(ev.data, worker_clock.row(w));
-      else
-        read_rel.join(ev.data, worker_clock.row(w));
+      for (const stf::Access& a : accesses) {
+        if (stf::is_write(a.mode))
+          write_rel.join(a.data, worker_clock.row(w));
+        else
+          read_rel.join(a.data, worker_clock.row(w));
+      }
     }
   }
 
-  // Tasks with accesses that never appeared in the sync trace cannot be
+  // Tasks with accesses that never appeared in the trace cannot be
   // checked; say so rather than silently passing them.
   std::uint64_t missing = 0;
   stf::TaskId first_missing = stf::kInvalidTask;
@@ -108,7 +118,7 @@ Report check_happens_before(const stf::TaskFlow& flow,
   if (missing > 0)
     report.add("RC304", Severity::kWarning,
                std::to_string(missing) +
-                   " task(s) with accesses are absent from the sync trace "
+                   " task(s) with accesses are absent from the trace "
                    "(first: " +
                    task_ref(flow, first_missing) + "); they were not checked",
                first_missing, stf::kInvalidData, missing);
@@ -179,7 +189,7 @@ Report check_happens_before(const stf::TaskFlow& flow,
                    std::to_string(opts.max_pair_checks) +
                    " comparisons; later pairs were not checked");
 
-  report.add_metric(std::to_string(events.size()) + " sync events, " +
+  report.add_metric(std::to_string(points.size() / 2) + " trace events, " +
                     std::to_string(W) + " workers, " +
                     std::to_string(checks) + " conflicting pairs checked, " +
                     std::to_string(races) + " race(s)");

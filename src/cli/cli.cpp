@@ -315,14 +315,12 @@ int run_check(const Options& o, std::ostream& out, std::ostream& err) {
   stf::DependencyGraph graph(wl.flow);
 
   stf::Trace trace;
-  stf::SyncTrace sync;
   bool worker_in_order = false;
   if (o.workload == "lintfix:race") {
     // The injected fixture IS the recorded execution: replay it instead of
     // running (a real run of this flow is correctly ordered).
     auto fx = analysis::fixtures::injected_race();
     trace = std::move(fx.trace);
-    sync = std::move(fx.sync);
   } else {
     engine::Launch launch;
     if (!make_launch(o, wl, launch, error)) {
@@ -330,15 +328,13 @@ int run_check(const Options& o, std::ostream& out, std::ostream& err) {
       return 1;
     }
     launch.collect_trace = true;
-    launch.collect_sync = true;
     const stf::FlowImage image = stf::FlowImage::compile(wl.flow);
     try {
       engine::Outcome outcome = backend->run(image, launch);
       trace = std::move(outcome.trace);
-      sync = std::move(outcome.sync);
     } catch (const engine::UnsupportedLaunch& e) {
       // One registry-generated error for every "that engine cannot record
-      // sync events" case — sims, seq, hybrid alike.
+      // a trace" case — sims, seq, hybrid alike.
       err << "rioflow: " << e.what() << "\n";
       return 2;
     }
@@ -355,7 +351,8 @@ int run_check(const Options& o, std::ostream& out, std::ostream& err) {
   else
     out << "interval validation: ok\n";
 
-  const analysis::Report report = analysis::check_happens_before(wl.flow, sync);
+  const analysis::Report report =
+      analysis::check_happens_before(wl.flow, trace);
   report.print(out);
   if (!o.json_path.empty()) {
     std::ofstream f(o.json_path);
@@ -1710,8 +1707,10 @@ usage: rioflow [command] [options]
     (none)        generate the workload and execute it on --engine
     lint          static flow analysis only — nothing executes (RF/RM/RP
                   finding codes; see docs/analysis.md)
-    check         execute a supports_sync engine recording sync events, then
-                  run the happens-before race checker (RC codes)
+    check         execute a supports_trace engine recording its trace (one
+                  event per task, with acquire/release stamps), then run
+                  the interval validator and the happens-before race
+                  checker (RC codes)
     chaos         sweep a deterministic fault plan (kinds x seeds x rates x
                   engines) with retry+rollback and the progress watchdog
                   enabled, verifying survivors against the sequential

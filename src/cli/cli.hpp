@@ -19,7 +19,7 @@ namespace rio::cli {
 struct Options {
   // Subcommand: "" runs the workload (the historical behaviour); "lint"
   // statically analyses it without executing anything; "check" executes it
-  // with sync-event recording and runs the happens-before race checker;
+  // with trace recording and runs the happens-before race checker;
   // "chaos" sweeps a fault plan over engines and verifies every surviving
   // run against the sequential oracle; "profile" executes with the
   // rio::obs telemetry hub attached and reports per-worker phase totals,

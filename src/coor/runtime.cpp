@@ -377,7 +377,7 @@ support::RunStats Runtime::run(const stf::ImageRange& range) {
         else
           master_walk(w);
       },
-      trace_, sync_trace_, n);
+      trace_, n);
   // Only an aborted run may finish with completed < n.
   RIO_ASSERT(eng.completed.load() == n);
   return stats;

@@ -58,12 +58,6 @@ class Runtime {
 
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
 
-  /// Synchronization events of the last run (empty unless
-  /// launch.collect_sync).
-  [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
-    return sync_trace_;
-  }
-
   /// Uses `pool` (>= workers + 1 threads: workers + master) for
   /// subsequent runs instead of spawning threads per run.
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
@@ -77,7 +71,6 @@ class Runtime {
  private:
   engine::Launch launch_;
   stf::Trace trace_;
-  stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;
   std::unique_ptr<NodeArena> arena_;
 };

@@ -68,7 +68,6 @@ class RioBackend final : public Backend {
                                 .supports_faults = true,
                                 .supports_watchdog = true,
                                 .supports_trace = true,
-                                .supports_sync = true,
                                 .supports_obs = true,
                                 .supports_guard = true,
                                 .supports_streaming = true,
@@ -84,7 +83,6 @@ class RioBackend final : public Backend {
     rt::Runtime eng(launch);
     Outcome out = base_outcome(eng.run(image, launch.mapping), caps());
     out.trace = eng.trace();
-    out.sync = eng.sync_trace();
     return out;
   }
 };
@@ -102,7 +100,6 @@ class PrunedBackend final : public Backend {
                                 .supports_faults = true,
                                 .supports_watchdog = true,
                                 .supports_trace = true,
-                                .supports_sync = true,
                                 .supports_obs = true,
                                 .needs_mapping = true,
                                 .uses_wait_policy = true,
@@ -119,7 +116,6 @@ class PrunedBackend final : public Backend {
     rt::PrunedRuntime eng(launch);
     Outcome out = base_outcome(eng.run(image, *plan), caps());
     out.trace = eng.trace();
-    out.sync = eng.sync_trace();
     out.plan_compiles = compiled ? 1 : 0;
     return out;
   }
@@ -143,7 +139,6 @@ class CoorBackend final : public Backend {
                                 .supports_faults = true,
                                 .supports_watchdog = true,
                                 .supports_trace = true,
-                                .supports_sync = true,
                                 .supports_obs = true,
                                 .supports_guard = true,
                                 .uses_wait_policy = true,
@@ -159,7 +154,6 @@ class CoorBackend final : public Backend {
     coor::Runtime eng(launch);
     Outcome out = base_outcome(eng.run(image), caps());
     out.trace = eng.trace();
-    out.sync = eng.sync_trace();
     return out;
   }
 };

@@ -53,8 +53,10 @@ struct Launch {
                                ///< the tau buckets, derived from the obs
                                ///< phase spans, are filled; the counts in
                                ///< RunStats are exact either way
-  bool collect_trace = false;  ///< supports_trace backends only
-  bool collect_sync = false;   ///< supports_sync backends only
+  bool collect_trace = false;  ///< supports_trace backends only: one
+                               ///< stf::TraceEvent per task, with the
+                               ///< acquire/release stamps the
+                               ///< happens-before checker replays
   bool enable_guard = false;   ///< supports_guard backends only
   bool pin_workers = false;    ///< pin thread t to logical CPU t mod #cpus
   support::RetryPolicy retry{};             ///< supports_faults backends only

@@ -94,7 +94,6 @@ std::vector<std::pair<std::string_view, bool>> capability_list(
           {"supports_faults", c.supports_faults},
           {"supports_watchdog", c.supports_watchdog},
           {"supports_trace", c.supports_trace},
-          {"supports_sync", c.supports_sync},
           {"supports_obs", c.supports_obs},
           {"supports_guard", c.supports_guard},
           {"supports_streaming", c.supports_streaming},
@@ -118,8 +117,6 @@ std::vector<std::string> unsupported_knobs(const Capabilities& caps,
     bad.emplace_back("partial mapping (backend lacks partial_mapping)");
   if (launch.collect_trace && !caps.supports_trace)
     bad.emplace_back("collect_trace (backend lacks supports_trace)");
-  if (launch.collect_sync && !caps.supports_sync)
-    bad.emplace_back("collect_sync (backend lacks supports_sync)");
   if (launch.enable_guard && !caps.supports_guard)
     bad.emplace_back("enable_guard (backend lacks supports_guard)");
   if (launch.obs != nullptr && !caps.supports_obs)

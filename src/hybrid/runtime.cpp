@@ -4,6 +4,7 @@
 
 #include "support/assert.hpp"
 #include "coor/runtime.hpp"
+#include "obs/obs.hpp"
 #include "rio/runtime.hpp"
 
 namespace rio::hybrid {
@@ -73,6 +74,15 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
   // Worker slots 0..p-1 aggregate across phases; slot p is the dynamic
   // phases' master (idle during static phases by construction).
   total.workers.resize(p + 1);
+  // The master-capable thread idles through static phases. Its lens is
+  // slot p, the slot the dynamic phases' master uses too (sim-hybrid
+  // charges the same idle).
+  if (launch_.obs != nullptr) launch_.obs->ensure_workers(p + 1);
+  obs::WorkerObs idle_master;
+  idle_master.bind(launch_.obs, p);
+  const bool timed = launch_.collect_stats || launch_.collect_trace ||
+                     idle_master.recording();
+  std::uint64_t static_ns = 0;
 
   rt::Runtime rio_engine(launch_);
   coor::Runtime coor_engine(launch_);
@@ -100,6 +110,7 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
       // Phase barrier semantics: everything before `first` completed, so
       // the in-order protocol may start from fresh per-phase state.
       phase_stats = rio_engine.run(range, ph.mapping);
+      static_ns += phase_stats.wall_ns;
     } else {
       phase_stats = coor_engine.run(range);
     }
@@ -108,6 +119,9 @@ support::RunStats Runtime::run(const stf::FlowImage& image,
     for (std::size_t w = 0; w < phase_stats.workers.size(); ++w)
       total.workers[w < p ? w : p] += phase_stats.workers[w];
   }
+  if (timed) idle_master.idle_until(static_ns);
+  idle_master.commit(launch_.obs);
+  total.workers[p] += idle_master.stats(timed ? static_ns : 0);
   return total;
 }
 

@@ -162,7 +162,7 @@ support::RunStats PrunedRuntime::run(const stf::FlowImage& image,
           if (w.dead) break;
         }
       },
-      trace_, sync_trace_);
+      trace_);
 }
 
 }  // namespace rio::rt

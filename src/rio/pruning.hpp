@@ -165,12 +165,6 @@ class PrunedRuntime {
   /// Trace of the last run (empty unless launch.collect_trace).
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
 
-  /// Synchronization events of the last run (empty unless
-  /// launch.collect_sync).
-  [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
-    return sync_trace_;
-  }
-
   /// Same contract as Runtime::attach_pool: reuse `pool` for all subsequent
   /// runs instead of spawning threads per run.
   void attach_pool(support::ThreadPool* pool) noexcept { pool_ = pool; }
@@ -178,7 +172,6 @@ class PrunedRuntime {
  private:
   engine::Launch launch_;
   stf::Trace trace_;
-  stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;
   RunArenas arenas_;  ///< recycled across runs (never shrinks)
 };

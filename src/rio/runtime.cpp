@@ -167,7 +167,7 @@ support::RunStats Runtime::launch(const stf::DataRegistry& registry,
                    arenas_, arenas_.locals[w.self].data(), bells};
         unroll(u);
       },
-      trace_, sync_trace_, trace_reserve);
+      trace_, trace_reserve);
 }
 
 support::RunStats Runtime::run(const stf::FlowImage& image,

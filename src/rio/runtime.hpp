@@ -84,12 +84,6 @@ class Runtime {
   /// Trace of the last run (empty unless launch.collect_trace).
   [[nodiscard]] const stf::Trace& trace() const noexcept { return trace_; }
 
-  /// Synchronization events of the last run (empty unless
-  /// launch.collect_sync).
-  [[nodiscard]] const stf::SyncTrace& sync_trace() const noexcept {
-    return sync_trace_;
-  }
-
   /// Uses `pool` (>= workers threads) for subsequent runs instead of
   /// spawning threads per run — amortizes thread startup for repeated
   /// fine-grained runs and for hybrid phase execution. Pass nullptr to
@@ -104,7 +98,6 @@ class Runtime {
 
   engine::Launch launch_;
   stf::Trace trace_;
-  stf::SyncTrace sync_trace_;
   support::ThreadPool* pool_ = nullptr;
   RunArenas arenas_;  ///< recycled across runs (never shrinks)
 };

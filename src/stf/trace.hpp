@@ -20,48 +20,20 @@
 
 namespace rio::stf {
 
-/// One executed task occurrence.
+/// One executed task occurrence. `acquire` and `seq` are drawn from one
+/// global counter per run: `acquire` after every dependency wait of the
+/// task completed (RIO's get_read/get_write, COOR's ready dispatch), `seq`
+/// after its body and before its release publishes anything that could
+/// admit a successor (terminate_*, successor release). Every release an
+/// acquire could have observed therefore carries a smaller stamp — the
+/// total order the happens-before checker (src/analysis) replays.
 struct TraceEvent {
   TaskId task = kInvalidTask;
   WorkerId worker = kInvalidWorker;
   std::uint64_t start_ns = 0;  ///< timestamp when the body began
   std::uint64_t end_ns = 0;    ///< timestamp when the body finished
-  std::uint64_t seq = 0;       ///< global completion order (engine-assigned)
-};
-
-/// One synchronization operation on a data object, recorded by the engines
-/// when Launch::collect_sync is set. An ACQUIRE is the completion of a
-/// dependency wait (RIO's get_read/get_write, COOR's ready dispatch); a
-/// RELEASE is the publication that lets successors through (terminate_*,
-/// successor release). `stamp` is drawn from one global atomic counter such
-/// that every release an acquire observed carries a smaller stamp — the
-/// total order the happens-before checker (src/analysis) replays.
-enum class SyncKind : std::uint8_t { kAcquire, kRelease };
-
-struct SyncEvent {
-  TaskId task = kInvalidTask;
-  WorkerId worker = kInvalidWorker;
-  DataId data = kInvalidData;
-  AccessMode mode = AccessMode::kRead;
-  SyncKind kind = SyncKind::kAcquire;
-  std::uint64_t stamp = 0;  ///< global publication/acquisition order
-};
-
-/// A full-run synchronization trace: acquire/release events in arbitrary
-/// order (consumers sort by stamp).
-class SyncTrace {
- public:
-  void record(SyncEvent ev) { events_.push_back(ev); }
-  void reserve(std::size_t n) { events_.reserve(n); }
-  [[nodiscard]] const std::vector<SyncEvent>& events() const noexcept {
-    return events_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
-  void clear() noexcept { events_.clear(); }
-
- private:
-  std::vector<SyncEvent> events_;
+  std::uint64_t seq = 0;       ///< release stamp: global completion order
+  std::uint64_t acquire = 0;   ///< acquire stamp, < seq
 };
 
 /// Outcome of validating a trace; `ok()` plus a human-readable reason.
@@ -96,6 +68,7 @@ class Trace {
     return events_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
   void clear() noexcept { events_.clear(); }
 
   /// Checks completeness (every task executed exactly once), sequential

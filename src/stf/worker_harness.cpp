@@ -60,12 +60,6 @@ void WorkerHarness::die(HarnessWorker& w, TaskId task) {
   if (w.probe != nullptr) w.probe->set_state(support::ProbeState::kDone);
 }
 
-void WorkerHarness::stamp(HarnessWorker& w, const Task& task, SyncKind kind) {
-  for (const Access& a : task.accesses)
-    w.sync.push_back({task.id, w.self, a.data, a.mode, kind,
-                      sync_stamp_.fetch_add(1, std::memory_order_acq_rel)});
-}
-
 void WorkerHarness::arm() {
   if (!watched()) return;
   // Progress watchdog: a monitor thread watches the sum of per-worker
@@ -111,14 +105,13 @@ void WorkerHarness::arm() {
 }
 
 support::RunStats WorkerHarness::finish(std::uint64_t wall_ns,
-                                        Trace& trace_out, SyncTrace& sync_out,
+                                        Trace& trace_out,
                                         std::size_t trace_reserve) {
   if (watchdog_) watchdog_->stop();
   support::RunStats stats;
   stats.wall_ns = wall_ns;
   stats.workers.resize(workers_.size());
   trace_out.clear();
-  sync_out.clear();
   if (launch_.collect_trace && trace_reserve > 0)
     trace_out.reserve(trace_reserve);
   for (std::size_t t = 0; t < workers_.size(); ++t) {
@@ -135,7 +128,6 @@ support::RunStats WorkerHarness::finish(std::uint64_t wall_ns,
     stats.workers[t] = w.obs.stats(wall);
     w.obs.commit(launch_.obs);
     for (const TraceEvent& ev : w.trace) trace_out.record(ev);
-    for (const SyncEvent& ev : w.sync) sync_out.record(ev);
   }
   // Escalation order: worker loss outranks a stall (the stall IS the
   // death's symptom — dependents of the unpublished task blocked), and a

@@ -10,11 +10,11 @@
 //   * the cancel/abort flags, the first-error capture and the DeathBoard;
 //   * obs lens binding and commit, the start barrier, pinning, per-worker
 //     wall times and the fork-join itself;
-//   * the merges of tau buckets, traces and sync events, and the
+//   * the merges of tau buckets and traces, and the
 //     WorkerLost > StallError > first-error escalation;
 //   * execute(): the owned-task step shared by every engine — wait span,
-//     acquire/release sync stamps, access guard, replay / resilient / plain
-//     / cancelled body, death record, checkpoint mark, release tally, trace
+//     acquire/release stamps, access guard, replay / resilient / plain /
+//     cancelled body, death record, checkpoint mark, release tally, trace
 //     record and progress.
 //
 // An engine constructs one harness per run, hands run() its per-worker walk
@@ -89,7 +89,9 @@ struct alignas(support::kCacheLineSize) HarnessWorker {
   std::uint32_t checkpoint_pending = 0;
   std::uint64_t wall_ns = 0;
   std::vector<TraceEvent> trace;
-  std::vector<SyncEvent> sync;
+  /// Acquire stamp of the task in execute(), kept here rather than in a
+  /// local so the untraced path holds no extra register across the body.
+  std::uint64_t acquired = 0;
 
   /// Publishes the protocol wait about to start, so a watchdog firing
   /// mid-wait can report expected vs observed counters.
@@ -137,8 +139,7 @@ class WorkerHarness {
   /// the first task error, in that order; returns the stats otherwise.
   template <typename Walk>
   support::RunStats run(support::ThreadPool* pool, Walk&& walk,
-                        Trace& trace_out, SyncTrace& sync_out,
-                        std::size_t trace_reserve = 0);
+                        Trace& trace_out, std::size_t trace_reserve = 0);
 
   /// The owned-task step. `acquire()` waits for the task's dependencies
   /// and returns Acquired; `release()` publishes it and returns a
@@ -156,10 +157,9 @@ class WorkerHarness {
   Body run_body(HarnessWorker& w, const Task& task);
   void fail(std::exception_ptr error);
   void die(HarnessWorker& w, TaskId task);
-  void stamp(HarnessWorker& w, const Task& task, SyncKind kind);
   void arm();
   support::RunStats finish(std::uint64_t wall_ns, Trace& trace_out,
-                           SyncTrace& sync_out, std::size_t trace_reserve);
+                           std::size_t trace_reserve);
 
   const char* engine_;
   const engine::Launch& launch_;
@@ -170,8 +170,7 @@ class WorkerHarness {
   std::vector<support::WorkerProbe> probes_;
   std::vector<HarnessWorker> workers_;
   AccessGuard guard_;
-  std::atomic<std::uint64_t> seq_{0};
-  std::atomic<std::uint64_t> sync_stamp_{0};
+  std::atomic<std::uint64_t> stamp_{0};  ///< acquire/release trace stamps
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> abort_{false};  // set only by a firing watchdog
   std::exception_ptr first_error_;
@@ -182,7 +181,7 @@ class WorkerHarness {
 
 template <typename Walk>
 support::RunStats WorkerHarness::run(support::ThreadPool* pool, Walk&& walk,
-                                     Trace& trace_out, SyncTrace& sync_out,
+                                     Trace& trace_out,
                                      std::size_t trace_reserve) {
   const auto threads = static_cast<std::uint32_t>(workers_.size());
   // All threads align on a start barrier so their wall times compare; the
@@ -202,8 +201,7 @@ support::RunStats WorkerHarness::run(support::ThreadPool* pool, Walk&& walk,
   arm();
   const std::uint64_t t0 = support::monotonic_ns();
   support::run_parallel(pool, threads, body);
-  return finish(support::monotonic_ns() - t0, trace_out, sync_out,
-                trace_reserve);
+  return finish(support::monotonic_ns() - t0, trace_out, trace_reserve);
 }
 
 inline WorkerHarness::Body WorkerHarness::run_body(HarnessWorker& w,
@@ -253,10 +251,11 @@ inline void WorkerHarness::execute(HarnessWorker& w, const Task& task,
                  support::monotonic_ns(), acq.cause);
     w.obs.count(obs::Counter::kProtocolWaits);
   }
-  // Acquire stamps are drawn AFTER every wait completed, so each observed
+  // The acquire stamp is drawn AFTER every wait completed, so each observed
   // release (stamped before its publish) sorts strictly earlier — the
   // invariant the happens-before checker relies on.
-  if (launch_.collect_sync) stamp(w, task, SyncKind::kAcquire);
+  if (launch_.collect_trace)
+    w.acquired = stamp_.fetch_add(1, std::memory_order_acq_rel);
   if (launch_.enable_guard)
     for (const Access& a : task.accesses) guard_.acquire(a);
 
@@ -285,12 +284,12 @@ inline void WorkerHarness::execute(HarnessWorker& w, const Task& task,
     launch_.checkpoint->mark(task.id);
     launch_.checkpoint->note_completion(w.checkpoint_pending);
   }
-  // Release stamps and the trace sequence number are drawn BEFORE the
-  // release publishes anything, so they order before every successor's.
-  if (launch_.collect_sync) stamp(w, task, SyncKind::kRelease);
+  // The release stamp is drawn BEFORE the release publishes anything, so
+  // it orders before every successor's acquire stamp.
   if (launch_.collect_trace)
     w.trace.push_back({task.id, w.self, t0, t1,
-                       seq_.fetch_add(1, std::memory_order_relaxed)});
+                       stamp_.fetch_add(1, std::memory_order_acq_rel),
+                       w.acquired});
   const ReleaseTally tally = release();
   if (tally.owed > 0) {
     w.obs.count(obs::Counter::kWakeups, tally.owed);

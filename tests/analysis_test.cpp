@@ -292,12 +292,12 @@ TEST(FlowLint, TaskBenchPatternsAreClean) {
 
 // ---- happens-before checker ----------------------------------------------
 
-TEST(HbChecker, EmptySyncTraceWarns) {
+TEST(HbChecker, EmptyTraceWarns) {
   stf::TaskFlow flow;
   auto x = flow.create_data<double>("x", 4);
   flow.add_virtual(1, {stf::readwrite(x)}, "t");
   const analysis::Report r =
-      analysis::check_happens_before(flow, stf::SyncTrace{});
+      analysis::check_happens_before(flow, stf::Trace{});
   EXPECT_TRUE(r.has("RC302"));
 }
 
@@ -311,12 +311,15 @@ TEST(HbChecker, InjectedRaceCaughtWhereIntervalCheckPasses) {
   EXPECT_TRUE(vr.ok()) << vr.reason;
   EXPECT_TRUE(vr.fully_checked());
 
-  // The happens-before checker is not.
+  // The happens-before checker, reading the same events' stamps, is not.
   const analysis::Report r =
-      analysis::check_happens_before(fx.flow, fx.sync);
+      analysis::check_happens_before(fx.flow, fx.trace);
   ASSERT_TRUE(r.has("RC301"));
   EXPECT_EQ(r.worst_severity(), analysis::Severity::kError);
 }
+
+// The hand-built traces below give each event {task, worker, start, end,
+// release stamp, acquire stamp}; only the stamps matter to the checker.
 
 TEST(HbChecker, OrderedWritesAreNotARace) {
   stf::TaskFlow flow;
@@ -324,16 +327,10 @@ TEST(HbChecker, OrderedWritesAreNotARace) {
   flow.add_virtual(1, {stf::write(d)}, "w0");
   flow.add_virtual(1, {stf::write(d)}, "w1");
   // Proper order: w0 releases before w1 acquires.
-  stf::SyncTrace sync;
-  sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kAcquire, 0});
-  sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kRelease, 1});
-  sync.record({1, 1, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kAcquire, 2});
-  sync.record({1, 1, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kRelease, 3});
-  EXPECT_FALSE(analysis::check_happens_before(flow, sync).has("RC301"));
+  stf::Trace trace;
+  trace.record({0, 0, 0, 0, /*seq=*/1, /*acquire=*/0});
+  trace.record({1, 1, 0, 0, /*seq=*/3, /*acquire=*/2});
+  EXPECT_FALSE(analysis::check_happens_before(flow, trace).has("RC301"));
 }
 
 TEST(HbChecker, UnorderedReadWritePairIsARace) {
@@ -341,16 +338,10 @@ TEST(HbChecker, UnorderedReadWritePairIsARace) {
   auto d = flow.create_data<double>("d", 4);
   flow.add_virtual(1, {stf::write(d)}, "writer");
   flow.add_virtual(1, {stf::read(d)}, "reader");
-  stf::SyncTrace sync;  // both acquire before either releases
-  sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kAcquire, 0});
-  sync.record({1, 1, d.id, stf::AccessMode::kRead,
-               stf::SyncKind::kAcquire, 1});
-  sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kRelease, 2});
-  sync.record({1, 1, d.id, stf::AccessMode::kRead,
-               stf::SyncKind::kRelease, 3});
-  EXPECT_TRUE(analysis::check_happens_before(flow, sync).has("RC301"));
+  stf::Trace trace;  // both acquire before either releases
+  trace.record({0, 0, 0, 0, /*seq=*/2, /*acquire=*/0});
+  trace.record({1, 1, 0, 0, /*seq=*/3, /*acquire=*/1});
+  EXPECT_TRUE(analysis::check_happens_before(flow, trace).has("RC301"));
 }
 
 TEST(HbChecker, ConcurrentReadersAreNotARace) {
@@ -359,21 +350,12 @@ TEST(HbChecker, ConcurrentReadersAreNotARace) {
   flow.add_virtual(1, {stf::write(d)}, "init");
   flow.add_virtual(1, {stf::read(d)}, "r0");
   flow.add_virtual(1, {stf::read(d)}, "r1");
-  stf::SyncTrace sync;
-  sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kAcquire, 0});
-  sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kRelease, 1});
+  stf::Trace trace;
+  trace.record({0, 0, 0, 0, /*seq=*/1, /*acquire=*/0});
   // Both readers overlap each other, but both saw init's release.
-  sync.record({1, 0, d.id, stf::AccessMode::kRead,
-               stf::SyncKind::kAcquire, 2});
-  sync.record({2, 1, d.id, stf::AccessMode::kRead,
-               stf::SyncKind::kAcquire, 3});
-  sync.record({1, 0, d.id, stf::AccessMode::kRead,
-               stf::SyncKind::kRelease, 4});
-  sync.record({2, 1, d.id, stf::AccessMode::kRead,
-               stf::SyncKind::kRelease, 5});
-  EXPECT_FALSE(analysis::check_happens_before(flow, sync).has("RC301"));
+  trace.record({1, 0, 0, 0, /*seq=*/4, /*acquire=*/2});
+  trace.record({2, 1, 0, 0, /*seq=*/5, /*acquire=*/3});
+  EXPECT_FALSE(analysis::check_happens_before(flow, trace).has("RC301"));
 }
 
 TEST(HbChecker, MissingTasksAreReported) {
@@ -381,15 +363,12 @@ TEST(HbChecker, MissingTasksAreReported) {
   auto d = flow.create_data<double>("d", 4);
   flow.add_virtual(1, {stf::write(d)}, "recorded");
   flow.add_virtual(1, {stf::read(d)}, "missing");
-  stf::SyncTrace sync;
-  sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kAcquire, 0});
-  sync.record({0, 0, d.id, stf::AccessMode::kWrite,
-               stf::SyncKind::kRelease, 1});
-  EXPECT_TRUE(analysis::check_happens_before(flow, sync).has("RC304"));
+  stf::Trace trace;
+  trace.record({0, 0, 0, 0, /*seq=*/1, /*acquire=*/0});
+  EXPECT_TRUE(analysis::check_happens_before(flow, trace).has("RC304"));
 }
 
-// ---- end-to-end: real engines record sound sync traces --------------------
+// ---- end-to-end: real engines record soundly stamped traces ---------------
 
 stf::TaskFlow make_chained_flow() {
   workloads::StencilSpec s;
@@ -403,12 +382,11 @@ stf::TaskFlow make_chained_flow() {
 TEST(HbChecker, RioRecordedRunHasNoRaces) {
   stf::TaskFlow flow = make_chained_flow();
   rt::Runtime engine(engine::Launch{.workers = 2,
-                                    .collect_trace = true,
-                                    .collect_sync = true});
+                                    .collect_trace = true});
   engine.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
-  ASSERT_FALSE(engine.sync_trace().empty());
+  ASSERT_FALSE(engine.trace().empty());
   const analysis::Report r =
-      analysis::check_happens_before(flow, engine.sync_trace());
+      analysis::check_happens_before(flow, engine.trace());
   std::ostringstream os;
   r.print(os);
   EXPECT_FALSE(r.has("RC301")) << os.str();
@@ -418,12 +396,11 @@ TEST(HbChecker, RioRecordedRunHasNoRaces) {
 TEST(HbChecker, CoorRecordedRunHasNoRaces) {
   stf::TaskFlow flow = make_chained_flow();
   coor::Runtime engine(engine::Launch{.workers = 2,
-                                      .collect_trace = true,
-                                      .collect_sync = true});
+                                      .collect_trace = true});
   engine.run(stf::FlowImage::compile(flow));
-  ASSERT_FALSE(engine.sync_trace().empty());
+  ASSERT_FALSE(engine.trace().empty());
   const analysis::Report r =
-      analysis::check_happens_before(flow, engine.sync_trace());
+      analysis::check_happens_before(flow, engine.trace());
   std::ostringstream os;
   r.print(os);
   EXPECT_FALSE(r.has("RC301")) << os.str();
@@ -434,7 +411,7 @@ TEST(HbChecker, SyncRecordingIsOffByDefault) {
   stf::TaskFlow flow = make_chained_flow();
   rt::Runtime engine(engine::Launch{.workers = 2});
   engine.run(stf::FlowImage::compile(flow), rt::mapping::round_robin(2));
-  EXPECT_TRUE(engine.sync_trace().empty());
+  EXPECT_TRUE(engine.trace().empty());
 }
 
 }  // namespace

@@ -275,20 +275,27 @@ TEST(CliLint, NarrowCountersAreDiagnosed) {
 }
 
 TEST(CliCheck, CleanRunPassesOnAllSyncEngines) {
-  // rio-pruned included: PrunedRuntime records the same acquire/release
-  // sync events as the full runtime, so the happens-before checker must
-  // find a populated trace (no RC302 "no events" escape hatch).
-  for (const char* engine : {"rio", "rio-pruned", "coor"}) {
+  // Every supports_trace engine (rio, rio-pruned, coor) records one
+  // stamped event per task, so the happens-before checker must find a
+  // populated trace (no RC302 "no events" escape hatch).
+  std::size_t checked = 0;
+  for (const rio::engine::Backend* b :
+       rio::engine::Registry::instance().all()) {
+    if (!b->caps().supports_trace) continue;
+    ++checked;
+    const std::string engine(b->name());
     std::string text;
-    const int rc = run_args({"check", "--engine", engine, "--workload",
-                             "stencil", "--width", "4", "--steps", "4",
-                             "--task-size", "20", "--workers", "2"},
+    const int rc = run_args({"check", "--engine", engine.c_str(),
+                             "--workload", "stencil", "--width", "4",
+                             "--steps", "4", "--task-size", "20",
+                             "--workers", "2"},
                             &text);
     EXPECT_EQ(rc, 0) << engine << ":\n" << text;
     EXPECT_NE(text.find("0 race(s)"), std::string::npos) << text;
     EXPECT_EQ(text.find("RC302"), std::string::npos) << engine << ":\n"
                                                      << text;
   }
+  EXPECT_GE(checked, 3u);
 }
 
 TEST(CliCheck, InjectedRaceFixtureFails) {

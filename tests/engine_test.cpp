@@ -10,7 +10,7 @@
 //     registering and nothing else;
 //   * a Launch asking for more than a backend's capabilities is rejected
 //     with ONE UnsupportedLaunch naming every offending knob;
-//   * per-backend Outcome extras (trace/sync, hybrid phases, pruned plan
+//   * per-backend Outcome extras (stamped trace, hybrid phases, pruned plan
 //     compiles) are populated when the capability is exercised;
 //   * rio-pruned's session plan cache: repeat runs compile nothing, the
 //     least recently used plan is evicted past the cap, and concurrent
@@ -106,7 +106,7 @@ TEST(EngineRegistry, FindAndStructuredUnknownNameError) {
 TEST(EngineRegistry, CapabilityListIsStableAndComplete) {
   const engine::Capabilities caps{.executes_bodies = true, .in_order = true};
   const auto list = engine::capability_list(caps);
-  EXPECT_EQ(list.size(), 17u);  // one entry per Capabilities flag
+  EXPECT_EQ(list.size(), 16u);  // one entry per Capabilities flag
   bool saw_exec = false, saw_virtual = false, saw_recovery = false;
   for (const auto& [name, value] : list) {
     if (name == "executes_bodies") saw_exec = value;
@@ -259,10 +259,17 @@ TEST(EngineOutcome, RioCarriesTraceAndSyncWhenRequested) {
   launch.workers = 2;
   launch.mapping = rt::mapping::round_robin(2);
   launch.collect_trace = true;
-  launch.collect_sync = true;
   const auto outcome = rio_b->run(stf::FlowImage::compile(flow), launch);
   EXPECT_EQ(outcome.trace.events().size(), 60u);
-  EXPECT_FALSE(outcome.sync.events().empty());
+  // Every event carries its acquire and release stamps: 2n distinct draws
+  // from one counter, each task acquiring before it releases.
+  std::set<std::uint64_t> stamps;
+  for (const auto& ev : outcome.trace.events()) {
+    EXPECT_LT(ev.acquire, ev.seq) << "task " << ev.task;
+    stamps.insert(ev.acquire);
+    stamps.insert(ev.seq);
+  }
+  EXPECT_EQ(stamps.size(), 120u);
   stf::DependencyGraph graph(flow);
   const auto v = outcome.trace.validate(flow, graph, /*worker_in_order=*/true);
   EXPECT_TRUE(v.ok()) << v.reason;

@@ -61,10 +61,10 @@ std::vector<std::pair<stf::TaskId, stf::WorkerId>> assignment(
   return out;
 }
 
-void expect_clean_sync(const stf::TaskFlow& flow, const stf::SyncTrace& sync,
-                       const char* what) {
-  ASSERT_FALSE(sync.empty()) << what;
-  const analysis::Report r = analysis::check_happens_before(flow, sync);
+void expect_no_races(const stf::TaskFlow& flow, const stf::Trace& trace,
+                     const char* what) {
+  ASSERT_FALSE(trace.empty()) << what;
+  const analysis::Report r = analysis::check_happens_before(flow, trace);
   EXPECT_FALSE(r.has("RC301")) << what;
   EXPECT_FALSE(r.has("RC304")) << what;
 }
@@ -162,8 +162,7 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   auto wl_image = make_equivalence_workload();
   auto wl_pruned = make_equivalence_workload();
   const engine::Launch cfg{.workers = kWorkers,
-                           .collect_trace = true,
-                           .collect_sync = true};
+                           .collect_trace = true};
   const stf::DependencyGraph graph(stf::FlowRange(wl_stream.flow));
 
   // Streaming: every worker re-submits the flow's tasks itself.
@@ -177,7 +176,7 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
       wl_stream.mapping(kWorkers));
   ASSERT_TRUE(
       streaming.trace().validate(wl_stream.flow, graph, true).ok());
-  expect_clean_sync(wl_stream.flow, streaming.sync_trace(), "streaming");
+  expect_no_races(wl_stream.flow, streaming.trace(), "streaming");
   expect_same_registry(wl_stream.flow.registry(), wl_seq.flow.registry(),
                        "streaming");
 
@@ -185,7 +184,7 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
   const stf::FlowImage image = stf::FlowImage::compile(wl_image.flow);
   image_rt.run(image, wl_image.mapping(kWorkers));
   ASSERT_TRUE(image_rt.trace().validate(wl_image.flow, graph, true).ok());
-  expect_clean_sync(wl_image.flow, image_rt.sync_trace(), "image");
+  expect_no_races(wl_image.flow, image_rt.trace(), "image");
   expect_same_registry(wl_image.flow.registry(), wl_seq.flow.registry(),
                        "image");
 
@@ -195,7 +194,7 @@ TEST(FlowImageReplay, RioStreamingImageAndPrunedAgree) {
              rt::PrunedPlan(pruned_image, wl_pruned.mapping(kWorkers),
                             kWorkers));
   ASSERT_TRUE(pruned.trace().validate(wl_pruned.flow, graph, true).ok());
-  expect_clean_sync(wl_pruned.flow, pruned.sync_trace(), "pruned");
+  expect_no_races(wl_pruned.flow, pruned.trace(), "pruned");
   expect_same_registry(wl_pruned.flow.registry(), wl_seq.flow.registry(),
                        "pruned");
 
@@ -213,21 +212,20 @@ TEST(FlowImageReplay, CoorImageReplayIsRepeatable) {
   auto wl_first = make_equivalence_workload();
   auto wl_second = make_equivalence_workload();
   const engine::Launch cfg{.workers = 2,
-                           .collect_trace = true,
-                           .collect_sync = true};
+                           .collect_trace = true};
   const stf::DependencyGraph graph(stf::FlowRange(wl_first.flow));
 
   coor::Runtime coor_rt(cfg);
   coor_rt.run(stf::FlowImage::compile(wl_first.flow));
   ASSERT_TRUE(coor_rt.trace().validate(wl_first.flow, graph, false).ok());
-  expect_clean_sync(wl_first.flow, coor_rt.sync_trace(), "coor first");
+  expect_no_races(wl_first.flow, coor_rt.trace(), "coor first");
   expect_same_registry(wl_first.flow.registry(), wl_seq.flow.registry(),
                        "coor first");
   const std::size_t first_events = coor_rt.trace().size();
 
   coor_rt.run(stf::FlowImage::compile(wl_second.flow));
   ASSERT_TRUE(coor_rt.trace().validate(wl_second.flow, graph, false).ok());
-  expect_clean_sync(wl_second.flow, coor_rt.sync_trace(), "coor second");
+  expect_no_races(wl_second.flow, coor_rt.trace(), "coor second");
   expect_same_registry(wl_second.flow.registry(), wl_seq.flow.registry(),
                        "coor second");
 

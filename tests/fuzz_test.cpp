@@ -13,6 +13,7 @@
 #include <cstring>
 #include <optional>
 
+#include "analysis/hb_checker.hpp"
 #include "coor/coor.hpp"
 #include "engine/registry.hpp"
 #include "engine/supervisor.hpp"
@@ -156,6 +157,12 @@ TEST_P(EngineFuzz, AllEnginesMatchSequential) {
       stf::DependencyGraph graph(flow);
       const auto v = outcome.trace.validate(flow, graph, caps.in_order);
       EXPECT_TRUE(v.ok()) << label << ": " << v.reason;
+      // The same events' acquire/release stamps: every conflicting pair is
+      // ordered by happens-before, and no task is missing.
+      const analysis::Report hb =
+          analysis::check_happens_before(flow, outcome.trace);
+      EXPECT_FALSE(hb.has("RC301")) << label;
+      EXPECT_FALSE(hb.has("RC304")) << label;
     }
     expect_same_data(flow, oracle, label.c_str());
   }

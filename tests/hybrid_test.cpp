@@ -169,6 +169,26 @@ TEST(Hybrid, StatsAggregateAcrossPhases) {
   EXPECT_GT(stats.wall_ns, 0u);
 }
 
+TEST(Hybrid, StaticPhasesChargeTheMasterSlotAsIdle) {
+  // The master-capable pool thread waits through every static phase: slot
+  // p's idle bucket covers them, as sim-hybrid charges it.
+  workloads::IndependentSpec spec;
+  spec.num_tasks = 40;
+  spec.task_cost = 2000;
+  auto wl = workloads::make_independent(spec);
+  hybrid::Runtime eng(engine::Launch{.workers = 2});
+  const auto stats = eng.run(
+      stf::FlowImage::compile(wl.flow),
+      {hybrid::Phase{.kind = hybrid::Phase::Kind::kStatic,
+                     .first = 0,
+                     .count = 40,
+                     .mapping = rt::mapping::round_robin(2)}});
+  ASSERT_EQ(stats.workers.size(), 3u);
+  EXPECT_GT(stats.wall_ns, 0u);
+  EXPECT_EQ(stats.workers[2].buckets.idle_ns, stats.wall_ns);
+  EXPECT_EQ(stats.workers[2].tasks_executed, 0u);
+}
+
 // ------------------------------------------------------- HPL workload ------
 
 TEST(Hpl, DenseReferencePivotsAndFactors) {

@@ -5,8 +5,11 @@
 #   3. clang-tidy over src/ (skipped with a notice when not installed);
 #   4. `rioflow lint` over every shipped workload — all must exit 0;
 #   5. `rioflow lint` over every seeded-bad fixture — all must exit non-zero;
-#   6. `rioflow check` on every sync-capable engine (rio, rio-pruned, coor)
-#      plus the injected-race fixture;
+#   6. `rioflow check` on every supports_trace engine that `rioflow engines
+#      --json` lists (each trace event carries its task's acquire/release
+#      stamps) — all must be clean; the injected-race fixture must be
+#      reported, and `check --engine hybrid` (no supports_trace) must be
+#      refused with exit 2 (UnsupportedLaunch);
 #   7. `rioflow chaos --quick` — the fault sweep must survive with zero
 #      oracle mismatches, and a `--faults crash` sweep must recover every
 #      permanent worker death by evict-and-remap with the oracle still
@@ -35,8 +38,9 @@
 #      root (committed reference numbers, see docs/perf.md);
 #  13. `rioflow verify --quick` — the implementation-level model checker
 #      must exhaust its reduced interleaving space with zero violations and
-#      emit a parsing rio.verify.v1 report (docs/analysis.md). Every sync
-#      engine is checked under the default policy AND --policy block (the
+#      emit a parsing rio.verify.v1 report (docs/analysis.md). Every
+#      protocol engine (rio, rio-pruned, coor) is checked under the
+#      default policy AND --policy block (the
 #      doorbell/parking rewrite), coor additionally with --queue ring
 #      (the wait-free MPMC ready ring), and every engine again with
 #      --recover (crash + evicted-resume two-phase exploration);
@@ -117,12 +121,33 @@ for f in "lintfix:uninit-read warning" "lintfix:dead-write warning" \
 done
 
 step "rioflow check: clean runs + injected race"
-for e in rio rio-pruned coor; do
+CHECKJSON="$BUILD/check-engines.json"
+TRACE_ENGINES=""
+if "$RIOFLOW" engines --json "$CHECKJSON" >/dev/null; then
+  if command -v python3 >/dev/null 2>&1; then
+    TRACE_ENGINES="$(python3 -c 'import json,sys
+d = json.load(open(sys.argv[1]))
+print(" ".join(e["name"] for e in d["engines"]
+               if e["capabilities"]["supports_trace"]))' "$CHECKJSON")"
+  else
+    # Without python3: the document prints one backend per line.
+    TRACE_ENGINES="$(grep '"supports_trace": true' "$CHECKJSON" |
+      grep -o '"name": "[^"]*"' | cut -d'"' -f4)"
+  fi
+else
+  fail "engines --json (check engine list)"
+fi
+[ -n "$TRACE_ENGINES" ] || fail "engines.json lists no supports_trace backend"
+for e in $TRACE_ENGINES; do
   if ! "$RIOFLOW" check --engine "$e" --workload stencil --width 6 --steps 4 \
        --task-size 50 --workers 2 >/dev/null; then
     fail "check engine $e (expected clean)"
   fi
 done
+"$RIOFLOW" check --engine hybrid --workload stencil --width 6 --steps 4 \
+  --task-size 50 --workers 2 >/dev/null 2>&1
+rc=$?
+[ "$rc" -eq 2 ] || fail "check engine hybrid (expected exit 2, got $rc)"
 if "$RIOFLOW" check --workload lintfix:race >/dev/null; then
   fail "check lintfix:race (expected a reported race)"
 fi
